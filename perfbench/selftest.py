@@ -59,8 +59,8 @@ def main() -> int:
         expect(texts[1] == texts[3] and texts[0] != texts[1] and counts == {w.voxels},
                f"{w.name}: seeds are reproducible, translate the part, keep {w.voxels} voxels")
 
-    path, _ = measure.write_input(WORKLOADS["dwell_block16"], 0)
-    expect(len(measure.probe_setup(WORKLOADS["dwell_block16"], path, runs=1)) == 1,
+    path, _ = measure.write_input(WORKLOADS["sparse_sphere32"], 0)
+    expect(len(measure.probe_setup(WORKLOADS["sparse_sphere32"], path, runs=1)) == 1,
            "set-up probe builds the schedule in a fresh process")
 
     tiny = Workload(name="selftest_block", kind="simulate", dims=(16, 16, 16),

@@ -11,10 +11,9 @@ Seed 0 is the untranslated placement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from voxtherm import gcode, schedule
-from voxtherm.fem import MaterialParams
 
 DEFAULT_SEED = 0
 SHIFT = 4  # seeded translations stay within [-SHIFT, SHIFT] voxels in x and y
@@ -30,8 +29,8 @@ class Workload:
     ``("cuboid", (a, b, c), (ox, oy, oz))`` in voxel units at seed 0.
     ``voxels`` is the scheduled voxel count every seed must give, and
     ``sparsity`` names a ``SparsityPolicy`` constructor applied after
-    voxelizing; ``sim`` holds the ``SimConfig`` fields that differ from the
-    defaults. BENCHMARK.json and the README say why each workload exists.
+    voxelizing. Prints use the default ``SimConfig``. BENCHMARK.json and the
+    README say why each workload exists.
     """
 
     name: str
@@ -40,7 +39,6 @@ class Workload:
     shape: tuple
     voxels: int
     sparsity: str | None = None
-    sim: dict = field(default_factory=dict)
 
 
 WORKLOADS = {
@@ -53,18 +51,6 @@ WORKLOADS = {
             shape=("sphere", 8, (16, 16, 8)),
             voxels=1154,
             sparsity="medium",
-        ),
-        Workload(
-            name="dwell_block16",
-            kind="simulate",
-            dims=(16, 16, 16),
-            shape=("cuboid", (8, 8, 4), (4, 4, 0)),
-            voxels=256,
-            sim={
-                "steps_per_voxel": 16,
-                "material": MaterialParams(kappa=1.0),
-                "deposit_mode": "held",
-            },
         ),
         Workload(
             name="replay_sphere32",
