@@ -31,7 +31,6 @@ _EXPORTS = {
     "save_schedule": "schedule",
     "load_schedule": "schedule",
     "MeshError": "octree",
-    "Octant": "octree",
     "OctreeMesh": "octree",
     "MeshSnapshot": "octree",
     "FemError": "fem",

@@ -9,6 +9,7 @@ identity because floats are written with repr.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .driver import DriverError, SimConfig
 from .fem import BoundarySpec, FemError, MaterialParams
@@ -25,7 +26,10 @@ def _to_int(raw: str) -> int:
 
 
 def _to_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
 
 
 def _to_bool(raw: str) -> bool:
@@ -43,7 +47,7 @@ def _to_fractions(raw: str) -> tuple[float, ...]:
     toks = raw.replace(",", " ").split()
     if not toks:
         raise ValueError("expected at least one fraction")
-    return tuple(float(t) for t in toks)
+    return tuple(_to_float(t) for t in toks)
 
 
 def _to_str(raw: str) -> str:

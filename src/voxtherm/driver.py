@@ -57,16 +57,18 @@ class SimConfig:
     def __post_init__(self):
         if self.steps_per_voxel < 1:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
-        if self.dt <= 0:
-            raise DriverError(f"dt must be positive, got {self.dt}")
+        if not (0 < self.dt < math.inf):
+            raise DriverError(f"dt must be positive and finite, got {self.dt}")
         if self.base_level < 0:
             raise DriverError(f"base_level must be >= 0, got {self.base_level}")
         if self.max_level is not None and self.max_level < self.base_level:
             raise DriverError(
                 f"max_level {self.max_level} below base_level {self.base_level}"
             )
-        if self.solver_tol <= 0:
-            raise DriverError(f"solver_tol must be positive, got {self.solver_tol}")
+        if not (0 < self.solver_tol < math.inf):
+            raise DriverError(
+                f"solver_tol must be positive and finite, got {self.solver_tol}"
+            )
         if self.deposit_mode not in DEPOSIT_MODES:
             raise DriverError(
                 f"deposit_mode must be one of {DEPOSIT_MODES}, got {self.deposit_mode!r}"
@@ -164,7 +166,7 @@ def run(
         v0 = _time.perf_counter()
         old = mesh.snapshot()
         if mesh.refine_to_voxel(voxel):
-            state = fem.transfer_solution(old, state, mesh)
+            state = fem.transfer_solution(old, state, mesh, cfg.bcs)
         mesh.classify([voxel])
         fem.activate_voxel(mesh, state, voxel, cfg.bcs)
         leaf = mesh.find_leaf(voxel)

@@ -15,13 +15,11 @@ level. Leaves are never coarsened. Leaves carrying printed voxels are
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["MeshError", "Octant", "OctreeMesh", "MeshSnapshot", "morton_encode"]
+__all__ = ["MeshError", "OctreeMesh", "MeshSnapshot", "morton_encode"]
 
 # Child anchor offsets, x fastest: local child index equals the Morton rank.
 CHILD_OFFSETS = np.array(
@@ -68,23 +66,6 @@ def morton_encode(coords, max_level: int) -> np.ndarray:
         key |= ((y >> bit) & np.uint64(1)) << np.uint64(3 * b + 1)
         key |= ((z >> bit) & np.uint64(1)) << np.uint64(3 * b + 2)
     return key
-
-
-@dataclass(frozen=True)
-class Octant:
-    """Read-only view of one leaf."""
-
-    anchor: tuple[int, int, int]
-    level: int
-    size: int
-    morton_key: int
-    active: bool
-
-    def voxel_range(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """Inclusive (id_min, id_max) range of finest-lattice cells covered."""
-        a = self.anchor
-        s = self.size
-        return a, (a[0] + s - 1, a[1] + s - 1, a[2] + s - 1)
 
 
 class MeshSnapshot(NamedTuple):
@@ -144,22 +125,8 @@ class OctreeMesh:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
-    def leaf_count(self) -> int:
-        return len(self.levels)
-
     def leaf_sizes(self) -> np.ndarray:
         return (self.root_extent >> self.levels).astype(np.int64)
-
-    def octant(self, idx: int) -> Octant:
-        lvl = int(self.levels[idx])
-        return Octant(
-            anchor=tuple(int(c) for c in self.anchors[idx]),
-            level=lvl,
-            size=self.root_extent >> lvl,
-            morton_key=(int(self.keys[idx]) << _LEVEL_BITS) | lvl,
-            active=bool(self.active[idx]),
-        )
 
     def find_leaf(self, cell) -> int:
         """Index of the leaf containing a finest-lattice cell."""
@@ -261,7 +228,7 @@ class OctreeMesh:
             self.printed.add(t)
         return np.flatnonzero(self.active)
 
-    # --- nodes and constraints ------------------------------------------------
+    # --- nodes --------------------------------------------------------------
 
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
         if self._node_cache is not None and self._node_cache[0] == self.version:
@@ -293,106 +260,7 @@ class OctreeMesh:
             mask[np.unique(leaf_nodes[self.active])] = True
         return mask
 
-    def hanging_constraints(self, active_only: bool = False) -> dict[int, list[tuple[int, float]]]:
-        """Constraint records: hanging node -> [(master node, weight), ...].
-
-        A node lying strictly inside a coarser leaf's edge (face) is the
-        average of that edge's 2 (face's 4) corner nodes. Chains are resolved
-        so every master is itself unconstrained; weights stay convex. With
-        ``active_only`` only active leaves may act as constraining masters.
-        """
-        # Midpoints of voxel-level leaves are not lattice points, so only
-        # coarser leaves can constrain; skip the node index when none qualify.
-        cand = self.levels < self.max_level
-        if active_only:
-            cand = cand & self.active
-        cand_idx = np.flatnonzero(cand)
-        if len(cand_idx) == 0:
-            return {}
-        coords, leaf_nodes = self._nodes()
-        index = {tuple(c): i for i, c in enumerate(coords.tolist())}
-
-        raw: dict[int, list[tuple[int, float]]] = {}
-        order = cand_idx[np.argsort(self.levels[cand_idx], kind="stable")]
-        for li in order:
-            lvl = int(self.levels[li])
-            a = self.anchors[li]
-            s = self.root_extent >> lvl
-            h = s // 2
-            nodes = leaf_nodes[li]
-            # 12 edge midpoints: one half-coordinate; masters are the edge ends.
-            for axis in range(3):
-                for u in (0, 1):
-                    for v in (0, 1):
-                        mid = a.copy()
-                        mid[axis] += h
-                        mid[(axis + 1) % 3] += u * s
-                        mid[(axis + 2) % 3] += v * s
-                        nid = index.get(tuple(int(c) for c in mid))
-                        if nid is None or nid in raw:
-                            continue
-                        lo = np.zeros(3, dtype=np.int64)
-                        lo[(axis + 1) % 3] = u
-                        lo[(axis + 2) % 3] = v
-                        hi = lo.copy()
-                        hi[axis] = 1
-                        c_lo = int(nodes[lo[0] + 2 * lo[1] + 4 * lo[2]])
-                        c_hi = int(nodes[hi[0] + 2 * hi[1] + 4 * hi[2]])
-                        raw[nid] = [(c_lo, 0.5), (c_hi, 0.5)]
-            # 6 face centers: two half-coordinates; masters are the face corners.
-            for axis in range(3):
-                for w in (0, 1):
-                    ctr = a.copy()
-                    ctr[axis] += w * s
-                    ctr[(axis + 1) % 3] += h
-                    ctr[(axis + 2) % 3] += h
-                    nid = index.get(tuple(int(c) for c in ctr))
-                    if nid is None or nid in raw:
-                        continue
-                    masters = []
-                    for u in (0, 1):
-                        for v in (0, 1):
-                            loc = np.zeros(3, dtype=np.int64)
-                            loc[axis] = w
-                            loc[(axis + 1) % 3] = u
-                            loc[(axis + 2) % 3] = v
-                            masters.append(
-                                (int(nodes[loc[0] + 2 * loc[1] + 4 * loc[2]]), 0.25)
-                            )
-                    raw[nid] = masters
-
-        # Resolve chains: substitute until every master is unconstrained.
-        resolved: dict[int, list[tuple[int, float]]] = {}
-        for slave, masters in raw.items():
-            for _ in range(self.max_level + 2):
-                if not any(m in raw for m, _ in masters):
-                    break
-                nxt: dict[int, float] = {}
-                for m, w in masters:
-                    for mm, ww in raw.get(m, [(m, 1.0)]):
-                        nxt[mm] = nxt.get(mm, 0.0) + w * ww
-                masters = list(nxt.items())
-            else:  # pragma: no cover - levels strictly decrease along chains
-                raise MeshError(f"unresolvable hanging-node chain at node {slave}")
-            resolved[slave] = masters
-        return resolved
-
-    # --- neighbors, snapshots, checks ----------------------------------------
-
-    def leaf_neighbors(self, idx: int) -> np.ndarray:
-        """Indices of all leaves sharing a face, edge or corner with leaf idx."""
-        a = self.anchors[idx]
-        s = int(self.root_extent >> self.levels[idx])
-        lo = np.maximum(a - 1, 0)
-        hi = np.minimum(a + s, self.root_extent - 1)
-        axes = [np.arange(lo[d], hi[d] + 1, dtype=np.int64) for d in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        cells = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        inner = np.all((cells >= a) & (cells < a + s), axis=1)
-        cells = cells[~inner]
-        if len(cells) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self._find_leaves(cells))
+    # --- snapshots, checks --------------------------------------------------
 
     def snapshot(self) -> MeshSnapshot:
         coords, leaf_nodes = self._nodes()

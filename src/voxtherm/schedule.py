@@ -82,15 +82,6 @@ class VoxelGrid:
         hi = lo + np.asarray(self.dims) * self.voxel_size
         return bool(np.all(p >= lo) and np.all(p <= hi))
 
-    def voxel_containing(self, p) -> VoxelId:
-        """Floor a point into its voxel; the top faces clamp to the last voxel."""
-        p = np.asarray(p, dtype=float)
-        if not self.contains_point(p):
-            raise OutOfBoundsError(f"point {tuple(p)} outside grid {self.dims}")
-        idx = np.floor((p - np.asarray(self.origin)) / self.voxel_size).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.dims) - 1)
-        return VoxelId(*(int(c) for c in idx))
-
     def center(self, v: VoxelId) -> np.ndarray:
         return np.asarray(self.origin) + (np.asarray(v) + 0.5) * self.voxel_size
 

@@ -89,6 +89,16 @@ def test_semantic_validation_rejected():
         parse_config("[material]\nkappa = -1.0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section,key",
+    [("material", "kappa"), ("schedule", "dt"), ("solver", "tolerance"), ("boundary", "t_bed")],
+)
+def test_non_finite_values_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=rf"'{key}' in \[{section}\]: expected a finite"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
 def test_fraction_separators():
     by_space = parse_config("[output]\nsnapshot_fractions = 0.25 0.5 1.0\n")
     by_comma = parse_config("[output]\nsnapshot_fractions = 0.25, 0.5, 1.0\n")

@@ -102,6 +102,32 @@ def test_refinement_and_transfer_inside_driver():
     assert np.all(np.isfinite(state.values))
 
 
+def test_inactive_nodes_hold_ambient_after_every_step(monkeypatch):
+    """The fact transfer rests on: every solve leaves inactive nodes at t_ambient."""
+    bcs = BoundarySpec(t_ambient=-0.5)
+    solve = driver_mod.fem.solve
+    inactive_counts = []
+
+    def checked_solve(system, *args, **kwargs):
+        x, iters = solve(system, *args, **kwargs)
+        # a node touched by no active element has an empty operator row
+        inactive = np.diff(system.a.indptr) == 0
+        np.testing.assert_array_equal(x[inactive], bcs.t_ambient)
+        inactive_counts.append(int(inactive.sum()))
+        return x, iters
+
+    monkeypatch.setattr(driver_mod.fem, "solve", checked_solve)
+    rng = np.random.default_rng(20260814)
+    for _ in range(8):
+        side = int(rng.integers(8, 17))
+        picks = rng.choice(side**3, size=int(rng.integers(4, 13)), replace=False)
+        order = [tuple(int(c) for c in np.unravel_index(i, (side,) * 3)) for i in picks]
+        schedule = VoxelSchedule(grid=VoxelGrid(dims=(side,) * 3), order=order)
+        cfg = SimConfig(bcs=bcs, base_level=int(rng.integers(0, 4)), cooldown_steps=2)
+        run(schedule, cfg)
+    assert inactive_counts and min(inactive_counts) > 0
+
+
 def test_held_mode_pins_deposit_nodes_during_dwell():
     schedule = cuboid_schedule((2, 1, 1), grid_dims=(4, 4, 4))
     seen = {}
@@ -161,6 +187,10 @@ def test_config_validation():
         SimConfig(steps_per_voxel=0)
     with pytest.raises(DriverError):
         SimConfig(dt=0.0)
+    with pytest.raises(DriverError, match="dt must be positive and finite"):
+        SimConfig(dt=float("inf"))
+    with pytest.raises(DriverError, match="solver_tol must be positive and finite"):
+        SimConfig(solver_tol=float("nan"))
     with pytest.raises(DriverError):
         SimConfig(deposit_mode="sometimes")
     with pytest.raises(DriverError):

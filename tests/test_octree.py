@@ -181,10 +181,10 @@ def test_find_leaf_and_octant_ranges():
     mesh = OctreeMesh(max_level=2, base_level=0)
     mesh.refine_to_voxel((0, 0, 0))
     idx = mesh.find_leaf((3, 3, 3))
-    oct_ = mesh.octant(idx)
-    lo, hi = oct_.voxel_range()
-    assert all(lo[d] <= 3 <= hi[d] for d in range(3))
-    assert oct_.size == 1 << (2 - oct_.level)
+    lo = mesh.anchors[idx]
+    size = mesh.leaf_sizes()[idx]
+    assert all(lo[d] <= 3 < lo[d] + size for d in range(3))
+    assert size == 1 << (2 - mesh.levels[idx])
     with pytest.raises(MeshError):
         mesh.find_leaf((4, 0, 0))
 
@@ -196,7 +196,8 @@ def test_classify_marks_and_validates_levels():
     mesh.refine_to_voxel((0, 0, 0))
     active = mesh.classify([(0, 0, 0)])
     assert len(active) == 1
-    assert mesh.octant(int(active[0])).active
+    assert mesh.active[active[0]]
+    assert active[0] == mesh.find_leaf((0, 0, 0))
     mesh.validate()
     # classify is monotone: re-adding is a no-op
     assert len(mesh.classify([(0, 0, 0)])) == 1
@@ -211,24 +212,7 @@ def test_split_refuses_active_and_bottom_leaves():
         mesh._split(mask)
 
 
-def test_leaf_neighbors_against_all_pairs():
-    rng = np.random.default_rng(13)
-    mesh = OctreeMesh(max_level=3, base_level=1)
-    for _ in range(4):
-        mesh.refine_to_voxel(tuple(int(x) for x in rng.integers(0, 8, size=3)))
-    a = mesh.anchors
-    s = mesh.leaf_sizes()
-    for idx in range(len(mesh)):
-        expected = {
-            j
-            for j in range(len(mesh))
-            if j != idx and boxes_touch(a[idx], int(s[idx]), a[j], int(s[j]))
-        }
-        got = set(int(x) for x in mesh.leaf_neighbors(idx))
-        assert got == expected, f"leaf {idx}"
-
-
-# --- nodes and hanging constraints ---------------------------------------------
+# --- nodes ---------------------------------------------------------------------
 
 
 def test_node_table_counts():
@@ -249,49 +233,6 @@ def test_leaf_nodes_match_geometry():
     for i in range(len(mesh)):
         expect = mesh.anchors[i][None, :] + CHILD_OFFSETS * sizes[i]
         assert np.array_equal(coords[mesh.leaf_nodes[i]], expect)
-
-
-def test_hanging_constraints_on_15_leaf_mesh():
-    mesh = OctreeMesh(max_level=2, base_level=0)
-    mesh.refine_to_voxel((0, 0, 0))
-    cons = mesh.hanging_constraints()
-    coords = mesh.node_coords
-    by_coord = {tuple(c): i for i, c in enumerate(coords.tolist())}
-
-    # edge midpoint (1,2,0): average of (0,2,0) and (2,2,0)
-    slave = by_coord[(1, 2, 0)]
-    masters = dict(cons[slave])
-    assert masters == {by_coord[(0, 2, 0)]: 0.5, by_coord[(2, 2, 0)]: 0.5}
-
-    # face center (1,1,2): average of the 4 corners of the z=2 coarse face
-    slave = by_coord[(1, 1, 2)]
-    masters = dict(cons[slave])
-    corners = [(0, 0, 2), (2, 0, 2), (0, 2, 2), (2, 2, 2)]
-    assert masters == {by_coord[c]: 0.25 for c in corners}
-
-    # all constraints convex, masters unconstrained
-    for slave, masters in cons.items():
-        ws = [w for _, w in masters]
-        assert all(w > 0 for w in ws)
-        assert abs(sum(ws) - 1.0) < 1e-15
-        assert all(m not in cons for m, _ in masters)
-
-
-def test_hanging_constraints_active_only_empty_in_production():
-    mesh = OctreeMesh(max_level=2, base_level=0)
-    mesh.refine_to_voxel((0, 0, 0))
-    mesh.classify([(0, 0, 0)])
-    assert mesh.hanging_constraints(active_only=True) == {}
-
-
-def test_constraint_chain_resolution():
-    # corner chain 3 levels deep: some masters would themselves hang
-    mesh = OctreeMesh(max_level=3, base_level=0)
-    mesh.refine_to_voxel((0, 0, 0))
-    cons = mesh.hanging_constraints()
-    for slave, masters in cons.items():
-        assert all(m not in cons for m, _ in masters)
-        assert abs(sum(w for _, w in masters) - 1.0) < 1e-14
 
 
 # --- snapshots, dumps, embedding -----------------------------------------------
