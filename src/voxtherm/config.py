@@ -89,6 +89,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 
+# SimConfig fields built from a whole section, and the type each one has
+_NESTED = {"material": ("material", MaterialParams), "boundary": ("bcs", BoundarySpec)}
+
+# converter -> formatter writing a value the converter reads back unchanged
+_FORMATTERS = {
+    _to_int: str,
+    _to_float: repr,
+    _to_bool: lambda v: "true" if v else "false",
+    _to_level: lambda v: "auto" if v is None else str(v),
+    _to_fractions: lambda v: " ".join(repr(f) for f in v),
+    _to_str: str,
+}
+
+
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
     cp = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
@@ -99,8 +113,7 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
         raise ConfigError(f"{source}: {err}") from err
 
     values: dict[str, object] = {}
-    mat_fields: dict[str, float] = {}
-    bc_fields: dict[str, float] = {}
+    nested: dict[str, dict[str, object]] = {section: {} for section in _NESTED}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{source}: unknown section [{section}]")
@@ -114,17 +127,11 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
                 raise ConfigError(
                     f"{source}: bad value for {key!r} in [{section}]: {err}"
                 ) from err
-            if section == "material":
-                mat_fields[target] = value
-            elif section == "boundary":
-                bc_fields[target] = value
-            else:
-                values[target] = value
+            nested.get(section, values)[target] = value
     try:
-        if mat_fields:
-            values["material"] = MaterialParams(**mat_fields)
-        if bc_fields:
-            values["bcs"] = BoundarySpec(**bc_fields)
+        for section, (name, cls) in _NESTED.items():
+            if nested[section]:
+                values[name] = cls(**nested[section])
         return SimConfig(**values)
     except (DriverError, FemError) as err:
         raise ConfigError(f"{source}: {err}") from err
@@ -136,38 +143,14 @@ def load_config(path) -> SimConfig:
 
 
 def dump_config(cfg: SimConfig) -> str:
-    lines = [
-        "[grid]",
-        f"base_level = {cfg.base_level}",
-        f"max_level = {'auto' if cfg.max_level is None else cfg.max_level}",
-        "",
-        "[material]",
-        f"kappa = {cfg.material.kappa!r}",
-        f"rho = {cfg.material.rho!r}",
-        f"cp = {cfg.material.cp!r}",
-        f"latent_source = {cfg.material.latent_source!r}",
-        "",
-        "[boundary]",
-        f"t_bed = {cfg.bcs.t_bed!r}",
-        f"t_deposit = {cfg.bcs.t_deposit!r}",
-        f"t_ambient = {cfg.bcs.t_ambient!r}",
-        "",
-        "[schedule]",
-        f"steps_per_voxel = {cfg.steps_per_voxel}",
-        f"dt = {cfg.dt!r}",
-        f"deposit_mode = {cfg.deposit_mode}",
-        f"cooldown_steps = {cfg.cooldown_steps}",
-        "",
-        "[solver]",
-        f"tolerance = {cfg.solver_tol!r}",
-        f"lumped_mass = {'true' if cfg.lumped_mass else 'false'}",
-        "",
-        "[output]",
-        f"snapshot_fractions = {' '.join(repr(f) for f in cfg.snapshot_fractions)}",
-        f"snapshot_every = {cfg.snapshot_every}",
-        f"label = {cfg.label}",
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        owner = getattr(cfg, _NESTED[section][0]) if section in _NESTED else cfg
+        lines = [f"[{section}]"]
+        for key, (target, conv) in keys.items():
+            lines.append(f"{key} = {_FORMATTERS[conv](getattr(owner, target))}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def save_config(cfg: SimConfig, path) -> None:

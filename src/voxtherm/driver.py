@@ -131,6 +131,29 @@ def response_mean(state: ThermalState) -> float:
     return float(state.values[sel].mean())
 
 
+def _march(
+    system: fem.LinearSystem, state: ThermalState, steps: int, cfg: SimConfig, where: str
+) -> tuple[int, float, float]:
+    """Advance ``steps`` implicit steps on one operator and active set.
+
+    Returns the PCG iteration total and the active-node extrema.
+    """
+    active = state.mesh.active_node_mask()
+    iters, lo, hi = 0, math.inf, -math.inf
+    try:
+        for s in range(steps):
+            if s:
+                system = system.with_rhs(state.values)
+            state.values, it = fem.solve(system, cfg.solver_tol, x0=state.values)
+            state.time += cfg.dt
+            iters += it
+            act = state.values[active]
+            lo, hi = min(lo, float(act.min())), max(hi, float(act.max()))
+    except SolverError as err:
+        raise DriverError(f"solver failed {where}: {err}") from err
+    return iters, lo, hi
+
+
 def run(
     schedule: VoxelSchedule, cfg: SimConfig, sinks=()
 ) -> tuple[ThermalState, SimReport]:
@@ -179,21 +202,9 @@ def run(
             latent_leaves=(leaf,),
             extra_dirichlet=extra,
         )
-        iters = 0
-        try:
-            for s in range(cfg.steps_per_voxel):
-                if s:
-                    system = system.with_rhs(state.values)
-                state.values, it = fem.solve(system, cfg.solver_tol, x0=state.values)
-                state.time += cfg.dt
-                iters += it
-                act = state.active_values()
-                t_min = min(t_min, float(act.min()))
-                t_max = max(t_max, float(act.max()))
-        except SolverError as err:
-            raise DriverError(
-                f"solver failed at voxel {ordinal}/{n} {tuple(int(c) for c in voxel)}: {err}"
-            ) from err
+        where = f"at voxel {ordinal}/{n} {tuple(int(c) for c in voxel)}"
+        iters, lo, hi = _march(system, state, cfg.steps_per_voxel, cfg, where)
+        t_min, t_max = min(t_min, lo), max(t_max, hi)
         records.append(
             VoxelRecord(
                 voxel_ordinal=ordinal,
@@ -216,16 +227,8 @@ def run(
         system = fem.assemble(
             mesh, state, cfg.material, cfg.bcs, cfg.dt, lumped_mass=cfg.lumped_mass
         )
-        try:
-            for _ in range(cfg.cooldown_steps):
-                state.values, _ = fem.solve(system, cfg.solver_tol, x0=state.values)
-                state.time += cfg.dt
-                system = system.with_rhs(state.values)
-                act = state.active_values()
-                t_min = min(t_min, float(act.min()))
-                t_max = max(t_max, float(act.max()))
-        except SolverError as err:
-            raise DriverError(f"solver failed during cooldown: {err}") from err
+        _, lo, hi = _march(system, state, cfg.cooldown_steps, cfg, "during cooldown")
+        t_min, t_max = min(t_min, lo), max(t_max, hi)
 
     act = state.active_values()
     has_active = len(act) > 0

@@ -279,6 +279,24 @@ def assemble(
             f"active leaf {int(coarse[0])} is coarser than the voxel level; "
             "the solve needs a conforming active mesh"
         )
+    idle = [int(li) for li in latent_leaves if not mesh.active[li]]
+    if idle:
+        raise FemError(f"latent leaf {idle[0]} is not active")
+
+    # Dirichlet set, later assignments winning: ambient padding, bed plate, caller's.
+    active_nodes = mesh.active_node_mask()
+    bed = active_nodes & (coords[:, 2] == 0)
+    pinned = ~active_nodes | bed
+    prescribed = np.where(bed, bcs.t_bed, bcs.t_ambient)
+    for nid, value in (extra_dirichlet or {}).items():
+        nid, value = int(nid), float(value)
+        if not 0 <= nid < m:
+            raise FemError(f"extra_dirichlet node {nid} outside [0, {m})")
+        if not math.isfinite(value):
+            raise FemError(f"extra_dirichlet value for node {nid} must be finite, got {value}")
+        pinned[nid] = True
+        prescribed[nid] = value
+    idx = np.flatnonzero(pinned)
 
     conn = leaf_nodes[act]
     rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
@@ -291,29 +309,15 @@ def assemble(
     K = sp.coo_matrix((np.tile(Ke.ravel(), len(act)), (rows, cols)), shape=shape).tocsr()
     A = (M + dt * K).tocsr()
 
+    # Active leaves are unit voxels: each corner gets an eighth of the source.
     F = np.zeros(m)
-    if mat.latent_source != 0.0 and len(latent_leaves):
-        all_sizes = mesh.leaf_sizes()
+    if mat.latent_source != 0.0:
         for li in latent_leaves:
-            h = float(all_sizes[li])
-            F[leaf_nodes[li]] += mat.latent_source * h**3 / 8.0
+            F[leaf_nodes[li]] += mat.latent_source / 8.0
     b = M @ state.values + dt * F
-
-    active_nodes = mesh.active_node_mask()
-    # Later entries override: ambient padding, then bed plate, then caller's.
-    parts_i = [np.flatnonzero(~active_nodes), np.flatnonzero(active_nodes & (coords[:, 2] == 0))]
-    parts_v = [np.full(len(parts_i[0]), bcs.t_ambient), np.full(len(parts_i[1]), bcs.t_bed)]
-    if extra_dirichlet:
-        items = sorted((int(k), float(v)) for k, v in extra_dirichlet.items())
-        parts_i.append(np.array([i for i, _ in items], dtype=np.int64))
-        parts_v.append(np.array([v for _, v in items], dtype=float))
-    idx_all = np.concatenate(parts_i)
-    val_all = np.concatenate(parts_v)
-    perm = np.lexsort((np.arange(len(idx_all)), idx_all))
-    last = np.flatnonzero(np.r_[idx_all[perm][1:] != idx_all[perm][:-1], True])
-    idx = idx_all[perm][last].astype(np.int64)
-    val = val_all[perm][last]
-    return LinearSystem(a=A, mass=M, b=b, dirichlet_idx=idx, dirichlet_val=val, dt=dt)
+    return LinearSystem(
+        a=A, mass=M, b=b, dirichlet_idx=idx, dirichlet_val=prescribed[idx], dt=dt
+    )
 
 
 # --- solve ----------------------------------------------------------------------
@@ -398,11 +402,6 @@ def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySp
     state.deposited.add(t)
 
 
-def _pack(coords: np.ndarray) -> np.ndarray:
-    c = coords.astype(np.int64)
-    return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
-
-
 def transfer_solution(
     old: MeshSnapshot, state: ThermalState, new_mesh: OctreeMesh, bcs: BoundarySpec
 ) -> ThermalState:
@@ -412,14 +411,13 @@ def transfer_solution(
     ambient value. A split only adds nodes, and only inside inactive
     leaves, so every new node is either inactive padding that the next
     solve pins to ambient or a corner of the voxel that ``activate_voxel``
-    overwrites. Both node tables are lexicographically sorted, which makes
-    the packed coordinates sorted too.
+    overwrites.
     """
-    if len(state.values) != len(old.node_coords):
+    if len(state.values) != len(old.node_keys):
         raise FemError("state does not match the old mesh snapshot")
-    new_values = np.full(len(new_mesh.node_coords), bcs.t_ambient)
-    pos = np.searchsorted(_pack(new_mesh.node_coords), _pack(old.node_coords))
-    new_values[pos] = state.values
+    new_keys = new_mesh.snapshot().node_keys
+    new_values = np.full(len(new_keys), bcs.t_ambient)
+    new_values[np.searchsorted(new_keys, old.node_keys)] = state.values
     return ThermalState(
         mesh=new_mesh,
         values=new_values,

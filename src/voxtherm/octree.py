@@ -11,6 +11,9 @@ its 8 children, 2:1 balance (across faces, edges and corners) is
 re-established, and the process repeats until that leaf sits at the voxel
 level. Leaves are never coarsened. Leaves carrying printed voxels are
 "active"; everything else is inactive padding around the growing part.
+
+Nodes are the distinct leaf corners, keyed by ``(x << 42) | (y << 21) | z``;
+corners are at most ``2**19``, so key order is lexicographic (x, y, z) order.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ _DIRS26 = np.array(
 )
 
 _LEVEL_BITS = 6  # level field packed into the low bits of the composite key
+_NODE_BITS = 21  # bits per axis in a packed node key; holds 2**19 inclusive
 
 
 class MeshError(ValueError):
@@ -74,7 +78,7 @@ class MeshSnapshot(NamedTuple):
     max_level: int
     anchors: np.ndarray
     levels: np.ndarray
-    keys: np.ndarray
+    node_keys: np.ndarray
     node_coords: np.ndarray
     leaf_nodes: np.ndarray
 
@@ -106,7 +110,7 @@ class OctreeMesh:
         self.levels = np.full(len(anchors), base_level, dtype=np.int64)
         self.keys = keys[order]
         self.active = np.zeros(len(anchors), dtype=bool)
-        self._node_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._node_cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_grid(cls, grid, base_level: int = 2, max_level: int | None = None) -> "OctreeMesh":
@@ -230,45 +234,45 @@ class OctreeMesh:
 
     # --- nodes --------------------------------------------------------------
 
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._node_cache is not None and self._node_cache[0] == self.version:
-            return self._node_cache[1], self._node_cache[2]
-        sizes = self.leaf_sizes()
-        corners = (
-            self.anchors[:, None, :] + CHILD_OFFSETS[None, :, :] * sizes[:, None, None]
-        )
-        flat = corners.reshape(-1, 3)
-        node_coords, inverse = np.unique(flat, axis=0, return_inverse=True)
-        leaf_nodes = inverse.reshape(-1, 8).astype(np.int64)
-        self._node_cache = (self.version, node_coords, leaf_nodes)
-        return node_coords, leaf_nodes
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node_keys, node_coords, leaf_nodes), rebuilt once per mesh version."""
+        if self._node_cache is None or self._node_cache[0] != self.version:
+            sizes = self.leaf_sizes()
+            corners = (
+                self.anchors[:, None, :] + CHILD_OFFSETS[None, :, :] * sizes[:, None, None]
+            ).reshape(-1, 3)
+            x, y, z = corners.T
+            keys = (x << 2 * _NODE_BITS) | (y << _NODE_BITS) | z
+            node_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            self._node_cache = (self.version, node_keys, corners[first], inverse.reshape(-1, 8))
+        return self._node_cache[1:]
 
     @property
     def node_coords(self) -> np.ndarray:
-        """(m, 3) unique corner nodes of all leaves, lexicographically sorted."""
-        return self._nodes()[0]
+        """(m, 3) unique corner nodes of all leaves, in node-key order."""
+        return self._nodes()[1]
 
     @property
     def leaf_nodes(self) -> np.ndarray:
         """(n, 8) node indices per leaf, x-fastest corner order."""
-        return self._nodes()[1]
+        return self._nodes()[2]
 
     def active_node_mask(self) -> np.ndarray:
-        coords, leaf_nodes = self._nodes()
-        mask = np.zeros(len(coords), dtype=bool)
-        if self.active.any():
-            mask[np.unique(leaf_nodes[self.active])] = True
+        """(m,) True at every corner node of an active leaf."""
+        node_keys, _, leaf_nodes = self._nodes()
+        mask = np.zeros(len(node_keys), dtype=bool)
+        mask[leaf_nodes[self.active]] = True
         return mask
 
     # --- snapshots, checks --------------------------------------------------
 
     def snapshot(self) -> MeshSnapshot:
-        coords, leaf_nodes = self._nodes()
+        node_keys, coords, leaf_nodes = self._nodes()
         return MeshSnapshot(
             max_level=self.max_level,
             anchors=self.anchors,
             levels=self.levels,
-            keys=self.keys,
+            node_keys=node_keys,
             node_coords=coords,
             leaf_nodes=leaf_nodes,
         )

@@ -18,26 +18,99 @@ def test_defaults_round_trip():
     assert parse_config(dump_config(cfg)) == cfg
 
 
+CUSTOM = SimConfig(
+    steps_per_voxel=5,
+    dt=0.1,
+    material=MaterialParams(kappa=0.0002, rho=1.3, cp=0.7, latent_source=2.5),
+    bcs=BoundarySpec(t_bed=0.9, t_deposit=2.1, t_ambient=-0.5),
+    base_level=1,
+    max_level=6,
+    solver_tol=1e-10,
+    lumped_mass=False,
+    deposit_mode="held",
+    cooldown_steps=12,
+    snapshot_fractions=(0.1, 0.5, 1.0),
+    snapshot_every=7,
+    label="bracket",
+)
+
+
 def test_custom_values_round_trip():
-    cfg = SimConfig(
-        steps_per_voxel=5,
-        dt=0.1,
-        material=MaterialParams(kappa=0.0002, rho=1.3, cp=0.7, latent_source=2.5),
-        bcs=BoundarySpec(t_bed=0.9, t_deposit=2.1, t_ambient=-0.5),
-        base_level=1,
-        max_level=6,
-        solver_tol=1e-10,
-        lumped_mass=False,
-        deposit_mode="held",
-        cooldown_steps=12,
-        snapshot_fractions=(0.1, 0.5, 1.0),
-        snapshot_every=7,
-        label="bracket",
-    )
+    cfg = CUSTOM
     text = dump_config(cfg)
     assert parse_config(text) == cfg
     # serialize -> parse -> serialize is also stable
     assert dump_config(parse_config(text)) == text
+
+
+DEFAULT_TEXT = """\
+[grid]
+base_level = 2
+max_level = auto
+
+[material]
+kappa = 0.0008
+rho = 1.0
+cp = 1.0
+latent_source = 0.0
+
+[boundary]
+t_bed = 1.0
+t_deposit = 2.0
+t_ambient = 0.0
+
+[schedule]
+steps_per_voxel = 3
+dt = 1.0
+deposit_mode = initial
+cooldown_steps = 0
+
+[solver]
+tolerance = 1e-12
+lumped_mass = true
+
+[output]
+snapshot_fractions = 0.3 0.6 1.0
+snapshot_every = 0
+label = run
+"""
+
+CUSTOM_TEXT = """\
+[grid]
+base_level = 1
+max_level = 6
+
+[material]
+kappa = 0.0002
+rho = 1.3
+cp = 0.7
+latent_source = 2.5
+
+[boundary]
+t_bed = 0.9
+t_deposit = 2.1
+t_ambient = -0.5
+
+[schedule]
+steps_per_voxel = 5
+dt = 0.1
+deposit_mode = held
+cooldown_steps = 12
+
+[solver]
+tolerance = 1e-10
+lumped_mass = false
+
+[output]
+snapshot_fractions = 0.1 0.5 1.0
+snapshot_every = 7
+label = bracket
+"""
+
+
+def test_dump_text_is_pinned():
+    assert dump_config(SimConfig()) == DEFAULT_TEXT
+    assert dump_config(CUSTOM) == CUSTOM_TEXT
 
 
 def test_repr_floats_survive_exactly():

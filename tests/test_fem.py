@@ -5,6 +5,8 @@ a 5-point Gauss quadrature over [0,1]^3 with its own shape functions and a
 dense elimination + LU solve of the assembled system.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,33 @@ def test_all_dirichlet_element_reproduces_prescriptions():
         assert x[nid] == val
     assert x[node_at(mesh, (0, 0, 0))] == 1.0
     assert x[node_at(mesh, (4, 4, 4))] == 0.0
+
+
+def test_assemble_rejects_bad_extra_dirichlet():
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    m = len(mesh.node_coords)
+    nid = node_at(mesh, (0, 0, 3))
+    for extra, match in [
+        ({-1: 2.0}, "node -1 outside"),
+        ({m: 2.0}, f"node {m} outside"),
+        ({nid: math.nan}, f"node {nid} must be finite"),
+        ({nid: math.inf}, f"node {nid} must be finite"),
+    ]:
+        with pytest.raises(FemError, match=match):
+            assemble(mesh, state, MaterialParams(), bcs, dt=1.0, extra_dirichlet=extra)
+
+
+def test_assemble_rejects_inactive_latent_leaf():
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    idle = mesh.find_leaf((3, 3, 3))
+    with pytest.raises(FemError, match=f"latent leaf {idle} is not active"):
+        assemble(
+            mesh, state, MaterialParams(latent_source=1.0), bcs, dt=1.0, latent_leaves=(idle,)
+        )
 
 
 def test_latent_source_adds_equal_nodal_loads():

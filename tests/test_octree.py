@@ -235,6 +235,55 @@ def test_leaf_nodes_match_geometry():
         assert np.array_equal(coords[mesh.leaf_nodes[i]], expect)
 
 
+def oracle_node_table(mesh):
+    """Node table by a lexicographic row sort of all leaf corners."""
+    from voxtherm.octree import CHILD_OFFSETS
+
+    sizes = mesh.leaf_sizes()
+    corners = mesh.anchors[:, None, :] + CHILD_OFFSETS[None, :, :] * sizes[:, None, None]
+    coords, inverse = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)
+    leaf_nodes = inverse.reshape(-1, 8)
+    mask = np.zeros(len(coords), dtype=bool)
+    if mesh.active.any():
+        mask[np.unique(leaf_nodes[mesh.active])] = True
+    return coords, leaf_nodes, mask
+
+
+def test_node_table_matches_row_sort_oracle_on_random_sequences():
+    rng = np.random.default_rng(20261018)
+    for _ in range(25):
+        max_level = int(rng.integers(1, 5))
+        mesh = OctreeMesh(max_level=max_level, base_level=int(rng.integers(0, max_level + 1)))
+        for _ in range(int(rng.integers(1, 10))):
+            v = tuple(int(c) for c in rng.integers(0, 1 << max_level, size=3))
+            mesh.refine_to_voxel(v)
+            if rng.random() < 0.7:
+                mesh.classify([v])
+            coords, leaf_nodes, mask = oracle_node_table(mesh)
+            assert np.array_equal(mesh.node_coords, coords)
+            assert np.array_equal(mesh.leaf_nodes, leaf_nodes)
+            assert np.array_equal(mesh.active_node_mask(), mask)
+            keys = mesh.snapshot().node_keys
+            assert len(keys) == len(coords)
+            assert np.all(keys[1:] > keys[:-1])
+
+
+def test_node_keys_hold_the_deepest_lattice():
+    """Unit voxels at both corners of a max_level-19 root: every key field is full."""
+    top = (1 << 19) - 1
+    mesh = OctreeMesh(max_level=19, base_level=0)
+    mesh.refine_to_voxel((top, top, top))
+    mesh.refine_to_voxel((0, 0, 0))
+    mesh.classify([(top, top, top), (0, 0, 0)])
+    coords, leaf_nodes, mask = oracle_node_table(mesh)
+    assert coords.max() == 1 << 19
+    assert np.array_equal(mesh.node_coords, coords)
+    assert np.array_equal(mesh.leaf_nodes, leaf_nodes)
+    assert np.array_equal(mesh.active_node_mask(), mask)
+    keys = mesh.snapshot().node_keys
+    assert np.all(keys[1:] > keys[:-1])
+
+
 # --- snapshots, dumps, embedding -----------------------------------------------
 
 
