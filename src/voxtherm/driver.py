@@ -36,6 +36,11 @@ class DriverError(RuntimeError):
     """Simulation run aborted; the message names the offending voxel."""
 
 
+def _snapshot_tag(fraction: float) -> int:
+    """Percent tag of a snapshot fraction: ``0.3`` writes ``snapshot_030``."""
+    return int(round(fraction * 100))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters; defaults mirror the normalized reference setup."""
@@ -77,9 +82,16 @@ class SimConfig:
             raise DriverError(f"cooldown_steps must be >= 0, got {self.cooldown_steps}")
         if self.snapshot_every < 0:
             raise DriverError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        tags: dict[int, float] = {}
         for f in self.snapshot_fractions:
             if not (0.0 < f <= 1.0):
                 raise DriverError(f"snapshot fraction {f} outside (0, 1]")
+            tag = _snapshot_tag(f)
+            if tag in tags:
+                raise DriverError(
+                    f"snapshot fractions {tags[tag]} and {f} share the snapshot tag {tag:03d}"
+                )
+            tags[tag] = f
 
 
 @dataclass(frozen=True)
@@ -176,9 +188,7 @@ def run(
     snap_at: dict[int, list[int]] = {}
     for frac in sorted(cfg.snapshot_fractions):
         if n:
-            snap_at.setdefault(max(1, math.ceil(frac * n)), []).append(
-                int(round(frac * 100))
-            )
+            snap_at.setdefault(max(1, math.ceil(frac * n)), []).append(_snapshot_tag(frac))
 
     records: list[VoxelRecord] = []
     checkpoints: dict[int, float] = {}

@@ -6,11 +6,14 @@ binary search and a split is a splice (the 8 children occupy exactly the
 parent's Morton range). Anchors are integer triples in finest-lattice
 (voxel) units; the root spans ``2**max_level`` voxels per axis.
 
-Refinement is single-level: the leaf enclosing a target voxel splits into
-its 8 children, 2:1 balance (across faces, edges and corners) is
-re-established, and the process repeats until that leaf sits at the voxel
-level. Leaves are never coarsened. Leaves carrying printed voxels are
-"active"; everything else is inactive padding around the growing part.
+The tree is kept 2:1 balanced across faces, edges and corners by one
+local rule. A level-l cell exists only once its parent is split, and a
+split parent needs every level-(l-1) cell touching it to exist, or a leaf
+two levels coarser would touch one of its children. So refining to a voxel
+splits only the voxel's *halo*: per level one box of cells, the parents of
+the box below grown by one cell on each side. Leaves are never coarsened.
+Leaves carrying printed voxels are "active"; everything else is inactive
+padding around the growing part.
 
 Nodes are the distinct leaf corners, keyed by ``(x << 42) | (y << 21) | z``;
 corners are at most ``2**19``, so key order is lexicographic (x, y, z) order.
@@ -35,18 +38,6 @@ CHILD_OFFSETS = np.array(
         [1, 0, 1],
         [0, 1, 1],
         [1, 1, 1],
-    ],
-    dtype=np.int64,
-)
-
-# All 26 face/edge/corner direction vectors.
-_DIRS26 = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
     ],
     dtype=np.int64,
 )
@@ -97,7 +88,6 @@ class OctreeMesh:
         self.base_level = int(base_level)
         self.root_extent = 1 << self.max_level
         self.version = 0
-        self.printed: set[tuple[int, int, int]] = set()
 
         n_side = 1 << base_level
         size = self.root_extent >> base_level
@@ -172,56 +162,61 @@ class OctreeMesh:
         self.version += 1
         self._node_cache = None
 
-    def enforce_balance(self) -> bool:
-        """Split coarse leaves until no two touching leaves differ by 2+ levels."""
+    def _require(self, cell, level: int) -> bool:
+        """Split leaves until the level-``level`` cell holding ``cell`` exists.
+
+        The cells needed at each level form one box: the cell itself at
+        ``level``, then per coarser level the parents of the box below grown
+        by one cell on each side, clipped to the root. Splitting the boxes
+        coarsest first costs at most one ``_split`` per level.
+        """
+        lo = hi = np.asarray(cell, dtype=np.int64) >> (self.max_level - level)
+        boxes = []
+        for lvl in range(level, self.base_level, -1):
+            boxes.append((lvl, lo, hi))
+            lo = np.maximum((lo >> 1) - 1, 0)
+            hi = np.minimum((hi >> 1) + 1, (1 << (lvl - 1)) - 1)
         changed = False
-        while True:
-            sizes = self.leaf_sizes()
-            ghosts = self.anchors[:, None, :] + _DIRS26[None, :, :] * sizes[:, None, None]
-            flat = ghosts.reshape(-1, 3)
-            valid = np.all((flat >= 0) & (flat < self.root_extent), axis=1)
-            holders = np.full(len(flat), -1, dtype=np.int64)
-            holders[valid] = self._find_leaves(flat[valid])
-            holders = holders.reshape(len(self.levels), 26)
-            lvl = self.levels[:, None]
-            viol = valid.reshape(len(self.levels), 26) & (
-                self.levels[np.clip(holders, 0, None)] <= lvl - 2
-            )
-            to_split = np.unique(holders[viol])
-            if len(to_split) == 0:
-                return changed
+        for lvl, lo, hi in reversed(boxes):
+            axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
+            cells = np.stack(axes, axis=-1).reshape(-1, 3) << (self.max_level - lvl)
+            holders = self._find_leaves(cells)
             mask = np.zeros(len(self.levels), dtype=bool)
-            mask[to_split] = True
-            self._split(mask)
-            changed = True
+            mask[holders[self.levels[holders] < lvl]] = True
+            if mask.any():
+                self._split(mask)
+                changed = True
+        return changed
 
-    def refine_to_voxel(self, voxel) -> bool:
-        """Single-level splits until the leaf holding ``voxel`` is voxel-sized.
+    def enforce_balance(self) -> bool:
+        """Split coarse leaves until no two touching leaves differ by 2+ levels.
 
-        Each pass flags exactly the enclosing leaf (levels below the voxel
-        level only), splits it, and re-establishes 2:1 balance. Idempotent.
+        Needed only after bare ``_split`` calls; refinement keeps balance.
         """
         changed = False
-        while True:
-            idx = self.find_leaf(voxel)
-            if self.levels[idx] >= self.max_level:
-                return changed
-            mask = np.zeros(len(self.levels), dtype=bool)
-            mask[idx] = True
-            self._split(mask)
-            self.enforce_balance()
-            changed = True
+        # _split replaces the arrays, so this walks the leaves as they were
+        for anchor, level in zip(self.anchors, self.levels):
+            changed |= self._require(anchor, int(level))
+        return changed
+
+    def refine_to_voxel(self, voxel) -> bool:
+        """Split the leaf holding ``voxel`` down to the voxel level, with its halo.
+
+        Returns whether the mesh changed; idempotent.
+        """
+        if self.levels[self.find_leaf(voxel)] >= self.max_level:
+            return False
+        return self._require(voxel, self.max_level)
 
     def classify(self, printed) -> np.ndarray:
         """Mark leaves holding printed voxels active; return active indices.
 
-        The printed set only grows. A printed voxel whose leaf is coarser
-        than the voxel level is a consistency error (refine first).
+        Active leaves are never split, so marking is idempotent. A printed
+        voxel whose leaf is coarser than the voxel level is a consistency
+        error (refine first).
         """
         for v in printed:
             t = (int(v[0]), int(v[1]), int(v[2]))
-            if t in self.printed:
-                continue
             idx = self.find_leaf(t)
             if self.levels[idx] != self.max_level:
                 raise MeshError(
@@ -229,7 +224,6 @@ class OctreeMesh:
                     f"expected level {self.max_level}"
                 )
             self.active[idx] = True
-            self.printed.add(t)
         return np.flatnonzero(self.active)
 
     # --- nodes --------------------------------------------------------------

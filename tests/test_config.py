@@ -160,6 +160,10 @@ def test_semantic_validation_rejected():
         parse_config("[schedule]\ndeposit_mode = sometimes\n")
     with pytest.raises(ConfigError, match="kappa"):
         parse_config("[material]\nkappa = -1.0\n")
+    with pytest.raises(ConfigError, match=r"0\.3 and 0\.3049 share the snapshot tag 030"):
+        parse_config("[output]\nsnapshot_fractions = 0.30 0.3049 1.0\n")
+    with pytest.raises(ConfigError, match=r"1\.0 and 1\.0 share the snapshot tag 100"):
+        parse_config("[output]\nsnapshot_fractions = 1.0, 1.0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

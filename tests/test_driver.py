@@ -199,6 +199,16 @@ def test_config_validation():
         SimConfig(base_level=5, max_level=3)
 
 
+@pytest.mark.parametrize(
+    "fractions,pair,tag",
+    [((0.30, 0.3049, 1.0), "0.3 and 0.3049", "030"), ((0.5, 0.5), "0.5 and 0.5", "050")],
+)
+def test_snapshot_fractions_sharing_a_tag_rejected(fractions, pair, tag):
+    with pytest.raises(DriverError, match=rf"fractions {pair} share the snapshot tag {tag}"):
+        SimConfig(snapshot_fractions=fractions)
+    SimConfig(snapshot_fractions=(0.30, 0.31, 1.0))  # distinct tags still pass
+
+
 def test_compare_sparsity_is_deterministic_and_reduces_voxels():
     grid = VoxelGrid(dims=(4, 4, 8))
     schedule = gen_test_schedule("cuboid", grid, dims=(4, 4, 8))

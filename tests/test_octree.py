@@ -89,6 +89,45 @@ class RefOctree:
         return set(self.leaves)
 
 
+# All 26 face/edge/corner direction vectors.
+DIRS26 = np.array(
+    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+     if (dx, dy, dz) != (0, 0, 0)],
+    dtype=np.int64,
+)
+
+
+def ghost_balance(mesh):
+    """Global fixed point: ghost all 26 neighbours of every leaf, split holders 2+ coarser."""
+    while True:
+        sizes = mesh.leaf_sizes()
+        ghosts = (mesh.anchors[:, None, :] + DIRS26[None, :, :] * sizes[:, None, None]).reshape(-1, 3)
+        valid = np.all((ghosts >= 0) & (ghosts < mesh.root_extent), axis=1)
+        holders = np.full(len(ghosts), -1, dtype=np.int64)
+        holders[valid] = mesh._find_leaves(ghosts[valid])
+        own = np.repeat(mesh.levels, 26)
+        viol = valid & (mesh.levels[np.clip(holders, 0, None)] <= own - 2)
+        if not viol.any():
+            return
+        mask = np.zeros(len(mesh), dtype=bool)
+        mask[holders[viol]] = True
+        mesh._split(mask)
+
+
+def split_leaf_at(mesh, cell):
+    """Bare split of the leaf holding ``cell``; no balance."""
+    mask = np.zeros(len(mesh), dtype=bool)
+    mask[mesh.find_leaf(cell)] = True
+    mesh._split(mask)
+
+
+def ghost_refine(mesh, voxel):
+    """Split the enclosing leaf one level at a time, ghost-balancing after each split."""
+    while mesh.levels[mesh.find_leaf(voxel)] < mesh.max_level:
+        split_leaf_at(mesh, voxel)
+        ghost_balance(mesh)
+
+
 def mesh_leaf_set(mesh):
     return {
         (int(a[0]), int(a[1]), int(a[2]), int(l))
@@ -175,6 +214,56 @@ def test_enforce_balance_repairs_manual_splits():
     assert all_pairs_balanced(mesh)
     mesh.validate()
     assert not mesh.enforce_balance()  # fixpoint
+
+
+def test_refinement_splits_at_most_once_per_level():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        L = int(rng.integers(3, 6))
+        base = int(rng.integers(0, L + 1))
+        mesh = OctreeMesh(max_level=L, base_level=base)
+        for _ in range(20):
+            v = tuple(int(x) for x in rng.integers(0, 1 << L, size=3))
+            before = mesh.version
+            mesh.refine_to_voxel(v)
+            assert mesh.version - before <= L - base
+
+
+def test_refinement_matches_ghost_fixed_point_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        L = int(rng.integers(4, 7))
+        base = int(rng.integers(0, 3))
+        mesh = OctreeMesh(max_level=L, base_level=base)
+        ref = OctreeMesh(max_level=L, base_level=base)
+        centre = rng.integers(0, 1 << L, size=3)
+        for _ in range(15):
+            v = tuple(int(x) for x in np.clip(centre + rng.integers(-3, 4, size=3), 0, (1 << L) - 1))
+            mesh.refine_to_voxel(v)
+            ghost_refine(ref, v)
+            assert mesh.dump() == ref.dump()
+        mesh.validate()
+
+
+def test_enforce_balance_matches_ghost_oracle_on_manual_splits():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        L = int(rng.integers(3, 6))
+        base = int(rng.integers(0, 2))
+        mesh = OctreeMesh(max_level=L, base_level=base)
+        for _ in range(int(rng.integers(1, 5))):
+            cell = tuple(int(x) for x in rng.integers(0, 1 << L, size=3))
+            for _ in range(int(rng.integers(0, L - base + 1))):
+                if mesh.levels[mesh.find_leaf(cell)] < L:
+                    split_leaf_at(mesh, cell)
+        ref = OctreeMesh(max_level=L, base_level=base)
+        ref.anchors, ref.levels, ref.keys = mesh.anchors, mesh.levels, mesh.keys
+        ref.active = mesh.active.copy()
+        mesh.enforce_balance()
+        ghost_balance(ref)
+        assert mesh.dump() == ref.dump()
+        mesh.validate()
+        assert not mesh.enforce_balance()
 
 
 def test_find_leaf_and_octant_ranges():
