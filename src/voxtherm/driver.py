@@ -4,6 +4,8 @@ For each scheduled voxel the mesh is refined to voxel size at that spot,
 the previous temperature field is transferred onto the new node set, the
 voxel's element turns active at the deposition temperature, and the
 implicit solve advances a fixed number of steps before the next voxel.
+The step operator is carried from voxel to voxel, so each deposit
+rebuilds only its own rows.
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ def run(
     records: list[VoxelRecord] = []
     checkpoints: dict[int, float] = {}
     t_min, t_max = math.inf, -math.inf
+    system = None
     wall0 = _time.perf_counter()
 
     for ordinal, voxel in enumerate(order, start=1):
@@ -211,6 +214,7 @@ def run(
             lumped_mass=cfg.lumped_mass,
             latent_leaves=(leaf,),
             extra_dirichlet=extra,
+            previous=system,
         )
         where = f"at voxel {ordinal}/{n} {tuple(int(c) for c in voxel)}"
         iters, lo, hi = _march(system, state, cfg.steps_per_voxel, cfg, where)
@@ -235,7 +239,8 @@ def run(
 
     if cfg.cooldown_steps and mesh.active.any():
         system = fem.assemble(
-            mesh, state, cfg.material, cfg.bcs, cfg.dt, lumped_mass=cfg.lumped_mass
+            mesh, state, cfg.material, cfg.bcs, cfg.dt,
+            lumped_mass=cfg.lumped_mass, previous=system,
         )
         _, lo, hi = _march(system, state, cfg.cooldown_steps, cfg, "during cooldown")
         t_min, t_max = min(t_min, lo), max(t_max, hi)

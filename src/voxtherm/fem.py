@@ -8,12 +8,18 @@ Every active leaf is voxel-sized, so the active mesh is conforming: it
 has no hanging nodes to condense, and the solve eliminates the Dirichlet
 rows and runs PCG on the remaining block of the operator.
 
+The operator is held over the active nodes and carried from one deposit
+to the next: a new voxel rebuilds only the rows of its corners, with the
+same kernel the whole-mesh assembly runs, so every bit matches a fresh
+assembly.
+
 All quantities are non-dimensional; the mesh lattice unit is the voxel
 edge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -189,6 +195,61 @@ def lump(M: np.ndarray) -> np.ndarray:
     return np.diag(M.sum(axis=1))
 
 
+@functools.lru_cache(maxsize=16)
+def _element_pair(mat: MaterialParams, lumped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and conductivity of the unit voxel element, read-only."""
+    Me, Ke = element_matrices(1.0, mat)
+    if lumped:
+        Me = lump(Me)
+    Me.setflags(write=False)
+    Ke.setflags(write=False)
+    return Me, Ke
+
+
+def _couple(conn: np.ndarray, pair, dt: float, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """M and A = M + dt K of the voxel elements ``conn`` (k, 8) on ``n`` nodes.
+
+    Row r's bits depend only on the (column, value) pairs the elements emit
+    into it, in element order, and on the relative order of the column ids.
+    So any element subset that holds every element touching r, in the same
+    order and under any order-preserving node numbering, rebuilds row r
+    exactly; the duplicate sums and scipy's per-row sort see the same input.
+    """
+    Me, Ke = pair
+    rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
+    cols = np.repeat(conn[:, None, :], 8, axis=1).ravel()
+    M = sp.coo_matrix((np.tile(Me.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
+    K = sp.coo_matrix((np.tile(Ke.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
+    return M, (M + dt * K).tocsr()
+
+
+def _splice(old: sp.csr_matrix, old_to_new: np.ndarray, rows: np.ndarray, fresh: list,
+            n: int) -> sp.csr_matrix:
+    """``old`` on ``n`` nodes: rows ``rows`` rebuilt, the others renumbered.
+
+    ``old_to_new`` gives each old row its new id and also renumbers the old
+    columns. ``rows`` are sorted new ids, and ``fresh[k]`` is row
+    ``rows[k]`` as a (columns, values) pair in new ids; it replaces an old
+    row or goes in between two. Every other row keeps its values.
+    """
+    idx_t = old.indices.dtype
+    indptr = np.zeros(n + 1, dtype=idx_t)
+    indptr[old_to_new + 1] = np.diff(old.indptr)
+    indptr[rows + 1] = [len(cols) for cols, _ in fresh]
+    np.cumsum(indptr, out=indptr)
+    # a gather through native-width ids runs several times faster than int32
+    indices = old_to_new.take(old.indices.astype(np.intp)).astype(idx_t)
+    stops = np.searchsorted(old_to_new, rows)  # old rows before each rebuilt one
+    starts = stops + (old_to_new[np.minimum(stops, len(old_to_new) - 1)] == rows)
+    ptr, parts, lo = old.indptr, [], 0
+    for stop, start, row in zip(stops, starts, fresh):
+        parts += [(indices[ptr[lo]:ptr[stop]], old.data[ptr[lo]:ptr[stop]]), row]
+        lo = start  # past the old row this one replaces, if any
+    parts.append((indices[ptr[lo]:], old.data[ptr[lo]:]))
+    cols, data = (np.concatenate(p) for p in zip(*parts))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
 # --- state ---------------------------------------------------------------------
 
 
@@ -214,25 +275,64 @@ def initial_state(mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
 # --- assembly -------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Operator:
+    """M and A = M + dt K over the active nodes, rows in node-key order.
+
+    Keyed by lattice and Morton keys rather than node-table ids, so it
+    stays valid across refinements and is carried from deposit to deposit.
+    """
+
+    setup: tuple  # (material, lumped_mass, dt) it was built for
+    leaf_keys: np.ndarray  # Morton keys of the active leaves it covers
+    node_keys: np.ndarray  # lattice keys of its rows
+    mass: sp.csr_matrix
+    a: sp.csr_matrix
+
+
+def _widen(mat: sp.csr_matrix, nodes: np.ndarray, n: int) -> sp.csr_matrix:
+    """An active-node matrix on the full node table; other rows stay empty."""
+    lens = np.zeros(n, dtype=np.int64)
+    lens[nodes] = np.diff(mat.indptr)
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    return sp.csr_matrix((mat.data, nodes[mat.indices], indptr), shape=(n, n))
+
+
 @dataclass
 class LinearSystem:
     """One backward-Euler step over the active domain.
 
     ``a`` is the full-size operator (M + dt K) assembled over active
-    elements; ``mass`` the matching mass matrix so the right-hand side can
-    be refreshed for later steps of a dwell (``b = mass @ T + dt*F``).
+    elements and ``mass`` the matching mass matrix; both are views of the
+    ``operator`` held over the active nodes ``nodes``. Later steps of a
+    dwell refresh the right-hand side with ``with_rhs``: ``b = mass @ T``.
+    The latent load ``dt*F`` enters only the first step's ``b``, the one
+    ``assemble`` builds, so a voxel releases its latent heat once.
+
+    The reduction is done once per operator: the free block ``a_free``,
+    the Dirichlet lift ``(a @ x_pinned)[free]`` and the Jacobi inverse
+    diagonal (None when the diagonal is not positive).
     """
 
-    a: sp.csr_matrix
-    mass: sp.csr_matrix
+    operator: _Operator
+    nodes: np.ndarray
+    n: int
     b: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
     dt: float
+    free: np.ndarray
+    a_free: sp.csr_matrix
+    lift: np.ndarray
+    inv_diag: np.ndarray | None
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+    @functools.cached_property
+    def a(self) -> sp.csr_matrix:
+        return _widen(self.operator.a, self.nodes, self.n)
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_matrix:
+        return _widen(self.operator.mass, self.nodes, self.n)
 
     @property
     def constraints(self) -> dict:
@@ -244,8 +344,58 @@ class LinearSystem:
         return {}
 
     def with_rhs(self, values: np.ndarray) -> "LinearSystem":
-        """Same operator, right-hand side rebuilt from new nodal values."""
-        return replace(self, b=self.mass @ values)
+        """Same operator and reduction, ``b = mass @ values`` (no latent load)."""
+        return replace(self, b=_rhs(self.operator, self.nodes, self.n, values))
+
+
+def _rhs(op: _Operator, nodes: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """``mass @ values`` on the full node table; inactive rows are 0."""
+    b = np.zeros(n)
+    b[nodes] = op.mass @ values[nodes]
+    return b
+
+
+def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, nodes: np.ndarray,
+           setup: tuple) -> _Operator:
+    """The operator over ``act``; from ``prev`` only the new leaves' rows are rebuilt."""
+    mat, lumped, dt = setup
+    pair = _element_pair(mat, lumped)
+    leaf_nodes = mesh.leaf_nodes
+    leaf_keys = mesh.keys[act]
+    node_keys = mesh.snapshot().node_keys[nodes]
+    if prev is None:
+        M, A = _couple(np.searchsorted(nodes, leaf_nodes[act]), pair, dt, len(nodes))
+        return _Operator(setup, leaf_keys, node_keys, M, A)
+    if prev.setup != setup:
+        raise FemError("previous system was built for another material, mass or dt")
+    pos = np.minimum(np.searchsorted(leaf_keys, prev.leaf_keys), len(leaf_keys) - 1)
+    if not np.array_equal(leaf_keys[pos], prev.leaf_keys):
+        raise FemError("previous system covers a leaf that is no longer active")
+    is_new = np.ones(len(act), dtype=bool)
+    is_new[pos] = False
+    if not is_new.any():
+        return _Operator(setup, leaf_keys, node_keys, prev.mass, prev.a)
+
+    # rows of the new leaves' corners, rebuilt from every active element
+    # touching them, taken in leaf (Morton) order like the whole-mesh pass
+    rows = np.unique(leaf_nodes[act[is_new]])
+    touched = np.zeros(len(mesh.node_coords), dtype=bool)
+    touched[rows] = True
+    near = act[touched[leaf_nodes[act]].any(axis=1)]
+    local, conn = np.unique(leaf_nodes[near], return_inverse=True)
+    M, A = _couple(conn.reshape(-1, 8), pair, dt, len(local))
+    to_active = np.searchsorted(nodes, local)
+    keep = np.searchsorted(local, rows)
+    old_to_new = np.searchsorted(node_keys, prev.node_keys)
+    rows = np.searchsorted(nodes, rows)
+
+    def spliced(old, patch):
+        ptr, cols = patch.indptr, to_active.astype(old.indices.dtype)
+        fresh = [(cols[patch.indices[ptr[k]:ptr[k + 1]]], patch.data[ptr[k]:ptr[k + 1]])
+                 for k in keep]
+        return _splice(old, old_to_new, rows, fresh, len(nodes))
+
+    return _Operator(setup, leaf_keys, node_keys, spliced(prev.mass, M), spliced(prev.a, A))
 
 
 def assemble(
@@ -258,8 +408,15 @@ def assemble(
     lumped_mass: bool = True,
     latent_leaves: tuple[int, ...] = (),
     extra_dirichlet: dict[int, float] | None = None,
+    previous: LinearSystem | None = None,
 ) -> LinearSystem | None:
-    """Build one implicit step; returns None when nothing is active yet."""
+    """Build one implicit step; returns None when nothing is active yet.
+
+    With ``previous``, a system assembled on this mesh before (refinement
+    and new active leaves since are fine), its operator is carried: only
+    the rows of the newly active leaves' corners are rebuilt. The result
+    is bit-identical to a whole-mesh assembly.
+    """
     if dt <= 0:
         raise FemError(f"dt must be positive, got {dt}")
     act = np.flatnonzero(mesh.active)
@@ -298,40 +455,47 @@ def assemble(
         prescribed[nid] = value
     idx = np.flatnonzero(pinned)
 
-    conn = leaf_nodes[act]
-    rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
-    cols = np.repeat(conn[:, None, :], 8, axis=1).ravel()
-    Me, Ke = element_matrices(1.0, mat)
-    if lumped_mass:
-        Me = lump(Me)
-    shape = (m, m)
-    M = sp.coo_matrix((np.tile(Me.ravel(), len(act)), (rows, cols)), shape=shape).tocsr()
-    K = sp.coo_matrix((np.tile(Ke.ravel(), len(act)), (rows, cols)), shape=shape).tocsr()
-    A = (M + dt * K).tocsr()
+    nodes = np.flatnonzero(active_nodes)
+    op = _carry(previous.operator if previous is not None else None,
+                mesh, act, nodes, (mat, lumped_mass, dt))
+
+    # Reduce once: free block, Dirichlet lift and Jacobi diagonal.
+    free_rows = ~pinned[nodes]
+    a_free = op.a[free_rows][:, free_rows]
+    diag = a_free.diagonal()
+    x_pinned = np.where(free_rows, 0.0, prescribed[nodes])
 
     # Active leaves are unit voxels: each corner gets an eighth of the source.
     F = np.zeros(m)
     if mat.latent_source != 0.0:
         for li in latent_leaves:
             F[leaf_nodes[li]] += mat.latent_source / 8.0
-    b = M @ state.values + dt * F
+    b = _rhs(op, nodes, m, state.values) + dt * F
     return LinearSystem(
-        a=A, mass=M, b=b, dirichlet_idx=idx, dirichlet_val=prescribed[idx], dt=dt
+        operator=op,
+        nodes=nodes,
+        n=m,
+        b=b,
+        dirichlet_idx=idx,
+        dirichlet_val=prescribed[idx],
+        dt=dt,
+        free=nodes[free_rows],
+        a_free=a_free,
+        lift=(op.a @ x_pinned)[free_rows],
+        inv_diag=1.0 / diag if np.all(diag > 0) else None,
     )
 
 
 # --- solve ----------------------------------------------------------------------
 
 
-def _pcg(A, b, x0, rel_tol, max_iter):
+def _pcg(A, inv_diag, b, x0, rel_tol, max_iter):
     """Jacobi-preconditioned conjugate gradients; returns (x, iterations)."""
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0
-    diag = A.diagonal()
-    if np.any(diag <= 0):
+    if inv_diag is None:
         raise SolverError("operator diagonal is not positive", [])
-    inv_diag = 1.0 / diag
     x = x0.copy()
     r = b - A @ x
     z = inv_diag * r
@@ -368,21 +532,19 @@ def solve(
 ) -> tuple[np.ndarray, int]:
     """Solve one step; returns the full nodal vector and PCG iteration count.
 
-    The Dirichlet rows are eliminated and PCG runs on the free block;
-    Dirichlet nodes carry their prescriptions exactly.
+    PCG runs on the free block that ``assemble`` reduced; Dirichlet nodes
+    carry their prescriptions exactly.
     """
     x = np.zeros(system.n)
     x[system.dirichlet_idx] = system.dirichlet_val
-    free = np.ones(system.n, dtype=bool)
-    free[system.dirichlet_idx] = False
-    n_free = int(free.sum())
-    if n_free == 0:
+    free = system.free
+    if len(free) == 0:
         return x, 0
-    A_red = system.a[free][:, free]
-    b_red = (system.b - system.a @ x)[free]
-    start = x0[free] if x0 is not None else np.zeros(n_free)
+    b_red = system.b[free] - system.lift
+    start = x0[free] if x0 is not None else np.zeros(len(free))
     x[free], iters = _pcg(
-        A_red, b_red, start, tol, max_iter if max_iter is not None else 10 * n_free
+        system.a_free, system.inv_diag, b_red, start, tol,
+        max_iter if max_iter is not None else 10 * len(free),
     )
     return x, iters
 

@@ -1,5 +1,6 @@
 """Driver orchestration: deposition loop, records, snapshots, sparsity sweeps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -126,6 +127,44 @@ def test_inactive_nodes_hold_ambient_after_every_step(monkeypatch):
         cfg = SimConfig(bcs=bcs, base_level=int(rng.integers(0, 4)), cooldown_steps=2)
         run(schedule, cfg)
     assert inactive_counts and min(inactive_counts) > 0
+
+
+# SHA-256 of the final ``state.values`` bytes and the per-voxel PCG
+# iterations of a small bed-resting print that refines between deposits,
+# recorded before the step operator was carried from deposit to deposit.
+MODE_PINS = {
+    ("initial", True): (
+        "ab9ba6320700b6902179e437c8f01f21e991b6761329a136172504fc53dd7843",
+        [3, 9, 12, 18, 18, 15, 20, 21, 21, 21, 21, 21],
+    ),
+    ("initial", False): (
+        "f399f4cc73e406ee243ca27ac91934fc36a8665e95e7a58d91ad42555d3d8714",
+        [3, 9, 12, 27, 30, 33, 46, 51, 54, 57, 57, 57],
+    ),
+    ("held", True): (
+        "02cfdef7ced7237727841644abc92f50e17aa7067a3a8e4259ff3af462fd770b",
+        [0, 3, 6, 15, 15, 15, 15, 15, 18, 21, 18, 21],
+    ),
+    ("held", False): (
+        "03e9da476f722b496e3147a40c9c80f58f84afe880a7ad39352c1e9e5abfbc3f",
+        [0, 3, 6, 18, 21, 24, 24, 30, 36, 42, 45, 48],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,lumped", sorted(MODE_PINS))
+def test_mode_matrix_outputs_are_pinned_bytewise(mode, lumped):
+    grid = VoxelGrid(dims=(8, 8, 8))
+    schedule = gen_test_schedule("cuboid", grid, dims=(3, 2, 2), offset=(2, 3, 0))
+    cfg = SimConfig(
+        base_level=1, deposit_mode=mode, lumped_mass=lumped, cooldown_steps=2,
+        material=MaterialParams(kappa=0.05, latent_source=0.3),
+    )
+    state, report = run(schedule, cfg)
+    assert report.records[0].leaves < report.records[-1].leaves  # it refines
+    digest, iters = MODE_PINS[(mode, lumped)]
+    assert hashlib.sha256(state.values.tobytes()).hexdigest() == digest
+    assert [r.solver_iters for r in report.records] == iters
 
 
 def test_held_mode_pins_deposit_nodes_during_dwell():

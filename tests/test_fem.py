@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from voxtherm import fem
 from voxtherm.fem import (
@@ -351,6 +352,110 @@ def test_latent_source_adds_equal_nodal_loads():
     extra = np.zeros(plain.n)
     extra[mesh.leaf_nodes[leaf]] = 0.5 * 0.8 / 8.0
     np.testing.assert_allclose(loaded.b, plain.b + extra, atol=1e-15)
+
+
+def test_with_rhs_drops_the_latent_load():
+    """Latent heat enters only the first step's b; refreshed steps carry none."""
+    mesh = OctreeMesh(max_level=2, base_level=2)
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    leaf = mesh.find_leaf((1, 1, 1))
+    mesh.classify([(1, 1, 1)])
+    activate_voxel(mesh, state, (1, 1, 1), bcs)
+    plain = assemble(mesh, state, MaterialParams(), bcs, dt=0.5)
+    loaded = assemble(
+        mesh, state, MaterialParams(latent_source=0.8), bcs, dt=0.5, latent_leaves=(leaf,)
+    )
+    assert loaded.b.tobytes() != plain.b.tobytes()
+    values = np.random.default_rng(4).uniform(1.0, 2.0, size=plain.n)
+    assert loaded.with_rhs(values).b.tobytes() == plain.with_rhs(values).b.tobytes()
+
+
+# --- the carried operator ---------------------------------------------------------
+
+
+def whole_table_operator(mesh, mat, dt, lumped):
+    """M and M + dt K by one coo -> csr pass over every active element, on the
+    full node table: the assembly before the operator was held on active nodes."""
+    conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
+    rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
+    cols = np.repeat(conn[:, None, :], 8, axis=1).ravel()
+    Me, Ke = element_matrices(1.0, mat)
+    if lumped:
+        Me = lump(Me)
+    m = len(mesh.node_coords)
+    M = sp.coo_matrix((np.tile(Me.ravel(), len(conn)), (rows, cols)), shape=(m, m)).tocsr()
+    K = sp.coo_matrix((np.tile(Ke.ravel(), len(conn)), (rows, cols)), shape=(m, m)).tocsr()
+    return M, (M + dt * K).tocsr()
+
+
+def assert_same_bits(x, y):
+    np.testing.assert_array_equal(x.indptr, y.indptr)
+    np.testing.assert_array_equal(x.indices, y.indices)
+    assert x.data.tobytes() == y.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["initial", "held"])
+@pytest.mark.parametrize("lumped", [True, False])
+def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
+    """After every deposit of random prints, the operator carried from the last
+    deposit (only the new voxel's rows rebuilt) equals a fresh whole-mesh
+    assembly bit for bit, and so do its first right-hand side and its solve."""
+    rng = np.random.default_rng(20261018 + lumped + 2 * (mode == "held"))
+    bcs = BoundarySpec()
+    mat = MaterialParams(kappa=0.2, latent_source=0.3)
+    dt = 0.7
+    deposits = 0
+    for _ in range(6):
+        max_level = int(rng.integers(3, 5))
+        mesh = OctreeMesh(max_level=max_level, base_level=int(rng.integers(0, 3)))
+        state = initial_state(mesh, bcs)
+        # a random part in a small box, so voxels share faces, edges and corners
+        lo = rng.integers(0, (1 << max_level) - 3, size=3)
+        lo[2] = int(rng.integers(0, 2))  # on the bed, or one layer above it
+        box = [tuple(int(c) for c in lo + d) for d in np.ndindex(4, 3, 3)]
+        order = [box[i] for i in rng.permutation(len(box))[: int(rng.integers(6, 20))]]
+        carried = None
+        for voxel in order:
+            old = mesh.snapshot()
+            if mesh.refine_to_voxel(voxel):
+                state = transfer_solution(old, state, mesh, bcs)
+            mesh.classify([voxel])
+            activate_voxel(mesh, state, voxel, bcs)
+            leaf = mesh.find_leaf(voxel)
+            extra = None
+            if mode == "held":
+                extra = {int(nid): bcs.t_deposit for nid in mesh.leaf_nodes[leaf]}
+            kwargs = dict(lumped_mass=lumped, latent_leaves=(leaf,), extra_dirichlet=extra)
+            fresh = assemble(mesh, state, mat, bcs, dt, **kwargs)
+            carried = assemble(mesh, state, mat, bcs, dt, previous=carried, **kwargs)
+            assert_same_bits(carried.a, fresh.a)
+            assert_same_bits(carried.mass, fresh.mass)
+            assert carried.b.tobytes() == fresh.b.tobytes()
+            M, A = whole_table_operator(mesh, mat, dt, lumped)
+            assert_same_bits(fresh.a, A)
+            assert_same_bits(fresh.mass, M)
+            x1, it1 = solve(fresh, x0=state.values)
+            x2, it2 = solve(carried, x0=state.values)
+            assert x1.tobytes() == x2.tobytes() and it1 == it2
+            state.values = x2
+            deposits += 1
+    assert deposits > 50
+
+
+def test_assemble_rejects_a_previous_system_it_cannot_carry():
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    mat = MaterialParams(kappa=0.05)
+    system = assemble(mesh, state, mat, bcs, dt=0.5)
+    for other, dt, lumped in [(mat, 0.25, True), (MaterialParams(kappa=0.1), 0.5, True),
+                              (mat, 0.5, False)]:
+        with pytest.raises(FemError, match="another material, mass or dt"):
+            assemble(mesh, state, other, bcs, dt, lumped_mass=lumped, previous=system)
+    smaller = column_mesh(active_z=2)
+    with pytest.raises(FemError, match="no longer active"):
+        assemble(smaller, initial_state(smaller, bcs), mat, bcs, dt=0.5, previous=system)
 
 
 # --- physics sanity -------------------------------------------------------------
