@@ -152,7 +152,6 @@ def _march(
 
     Returns the PCG iteration total and the active-node extrema.
     """
-    active = state.mesh.active_node_mask()
     iters, lo, hi = 0, math.inf, -math.inf
     try:
         for s in range(steps):
@@ -161,7 +160,7 @@ def _march(
             state.values, it = fem.solve(system, cfg.solver_tol, x0=state.values)
             state.time += cfg.dt
             iters += it
-            act = state.values[active]
+            act = state.values[system.nodes]
             lo, hi = min(lo, float(act.min())), max(hi, float(act.max()))
     except SolverError as err:
         raise DriverError(f"solver failed {where}: {err}") from err
@@ -204,8 +203,7 @@ def run(
         if mesh.refine_to_voxel(voxel):
             state = fem.transfer_solution(old, state, mesh, cfg.bcs)
         mesh.classify([voxel])
-        fem.activate_voxel(mesh, state, voxel, cfg.bcs)
-        leaf = mesh.find_leaf(voxel)
+        leaf = fem.activate_voxel(mesh, state, voxel, cfg.bcs)
         extra = None
         if cfg.deposit_mode == "held":
             extra = {int(nid): cfg.bcs.t_deposit for nid in mesh.leaf_nodes[leaf]}

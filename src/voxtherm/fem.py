@@ -8,10 +8,13 @@ Every active leaf is voxel-sized, so the active mesh is conforming: it
 has no hanging nodes to condense, and the solve eliminates the Dirichlet
 rows and runs PCG on the remaining block of the operator.
 
-The operator is held over the active nodes and carried from one deposit
-to the next: a new voxel rebuilds only the rows of its corners, with the
-same kernel the whole-mesh assembly runs, so every bit matches a fresh
-assembly.
+Only what the solve reads is carried from one deposit to the next: the
+free block of the operator, its bed lift and diagonal, and the mass in
+the form its matvec needs. A new voxel writes only the rows of its
+corners. A row depends only on which of its node's 8 surrounding voxels
+are active, so rows are memoized by that stencil and built on a miss with
+the kernel the whole-mesh assembly runs; every bit matches a fresh
+assembly. The whole matrices are built only when asked for.
 
 All quantities are non-dimensional; the mesh lattice unit is the voxel
 edge.
@@ -223,31 +226,129 @@ def _couple(conn: np.ndarray, pair, dt: float, n: int) -> tuple[sp.csr_matrix, s
     return M, (M + dt * K).tocsr()
 
 
-def _splice(old: sp.csr_matrix, old_to_new: np.ndarray, rows: np.ndarray, fresh: list,
+@dataclass(frozen=True)
+class _Rows:
+    """Rows of one matrix, concatenated: row k is ``cols``/``vals[ptr[k]:ptr[k + 1]]``."""
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _splice(old: sp.csr_matrix, old_to_new: np.ndarray, rows: np.ndarray, fresh: _Rows,
             n: int) -> sp.csr_matrix:
     """``old`` on ``n`` nodes: rows ``rows`` rebuilt, the others renumbered.
 
     ``old_to_new`` gives each old row its new id and also renumbers the old
-    columns. ``rows`` are sorted new ids, and ``fresh[k]`` is row
-    ``rows[k]`` as a (columns, values) pair in new ids; it replaces an old
-    row or goes in between two. Every other row keeps its values.
+    columns. ``rows`` are sorted new ids, and ``fresh`` row k is row
+    ``rows[k]`` in new ids; it replaces an old row or goes in between two.
+    Every other row keeps its values.
     """
     idx_t = old.indices.dtype
     indptr = np.zeros(n + 1, dtype=idx_t)
     indptr[old_to_new + 1] = np.diff(old.indptr)
-    indptr[rows + 1] = [len(cols) for cols, _ in fresh]
+    indptr[rows + 1] = np.diff(fresh.ptr)
     np.cumsum(indptr, out=indptr)
     # a gather through native-width ids runs several times faster than int32
     indices = old_to_new.take(old.indices.astype(np.intp)).astype(idx_t)
     stops = np.searchsorted(old_to_new, rows)  # old rows before each rebuilt one
-    starts = stops + (old_to_new[np.minimum(stops, len(old_to_new) - 1)] == rows)
-    ptr, parts, lo = old.indptr, [], 0
-    for stop, start, row in zip(stops, starts, fresh):
-        parts += [(indices[ptr[lo]:ptr[stop]], old.data[ptr[lo]:ptr[stop]]), row]
-        lo = start  # past the old row this one replaces, if any
-    parts.append((indices[ptr[lo]:], old.data[ptr[lo]:]))
-    cols, data = (np.concatenate(p) for p in zip(*parts))
-    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+    starts = np.searchsorted(old_to_new, rows, side="right")  # past the one it replaces
+    ptr, fptr, lo = old.indptr, fresh.ptr, 0
+    cols, vals = [], []
+    for k, (stop, start) in enumerate(zip(stops, starts)):
+        cols += [indices[ptr[lo]:ptr[stop]], fresh.cols[fptr[k]:fptr[k + 1]]]
+        vals += [old.data[ptr[lo]:ptr[stop]], fresh.vals[fptr[k]:fptr[k + 1]]]
+        lo = start
+    cols.append(indices[ptr[lo]:])
+    vals.append(old.data[ptr[lo]:])
+    return sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols).astype(idx_t, copy=False), indptr),
+        shape=(n, n),
+    )
+
+
+def _splice_values(old: np.ndarray, old_to_new: np.ndarray, rows: np.ndarray,
+                   fresh: np.ndarray, n: int) -> np.ndarray:
+    """``_splice`` for one value per row."""
+    out = np.empty(n)
+    out[old_to_new] = old
+    out[rows] = fresh
+    return out
+
+
+def _fold(rows: _Rows, x: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``vals * x`` (``x`` given per entry), by a CSR matvec.
+
+    The matvec adds a row's terms in stored order from +0.0, as a whole
+    matrix's ``A @ x`` does, so a row gets the bits of its whole-matrix sum;
+    ``np.dot`` and ``sum`` add in another order.
+    """
+    nnz = len(rows.vals)
+    ids, ptr = np.arange(nnz, dtype=np.int32), rows.ptr.astype(np.int32)
+    return sp.csr_matrix((rows.vals, ids, ptr), shape=(len(ptr) - 1, nnz)) @ x
+
+
+# --- the stencil memo ----------------------------------------------------------
+
+# The 3x3x3 block of lattice nodes around a node, numbered in node-key order:
+# node p + d, d in {-1, 0, 1}^3, is 9 (dx + 1) + 3 (dy + 1) + (dz + 1), so p is 13.
+_CENTER = 13
+# [j, c]: block id of corner c of an element whose corner j is the center node
+_BLOCK_IDS = _CENTER + (CHILD_OFFSETS[None, :, :] - CHILD_OFFSETS[:, None, :]) @ [9, 3, 1]
+
+
+@dataclass(frozen=True)
+class _StencilRow:
+    """One node's row of M and of A = M + dt K, columns as block ids."""
+
+    m_cols: np.ndarray
+    m_vals: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+
+
+def _stencil_rows(stencils: list, pair, dt: float) -> list[_StencilRow]:
+    """The rows of nodes that are corner ``stencil[e]`` of their e-th active element.
+
+    One ``_couple`` call builds them all, each stencil's elements in their
+    order and numbered in a block of their own. A row so sees the (column,
+    value) pairs it gets in any larger assembly, in the same order, so by
+    ``_couple``'s invariant it has the whole-mesh bits.
+    """
+    conn = np.concatenate([_BLOCK_IDS[list(s)] + 27 * k for k, s in enumerate(stencils)])
+    M, A = _couple(conn, pair, dt, 27 * len(stencils))
+    rows = []
+    for k in range(len(stencils)):
+        r = 27 * k + _CENTER
+        m = slice(M.indptr[r], M.indptr[r + 1])
+        a = slice(A.indptr[r], A.indptr[r + 1])
+        rows.append(_StencilRow(M.indices[m] - 27 * k, M.data[m].copy(),
+                                A.indices[a] - 27 * k, A.data[a].copy()))
+    return rows
+
+
+def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[list, np.ndarray]:
+    """Memo keys of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
+
+    A node's key is the corner it takes in each active element of ``conn``
+    touching it, in element (Morton) order: which of its 8 surrounding
+    voxels are active, in the order the assembly visits them. ``blocks[k]``
+    maps block ids around ``rows[k]`` to node ids (only those in its
+    elements are set).
+    """
+    touched = np.zeros(m, dtype=bool)
+    touched[rows] = True
+    flat = conn.ravel()
+    hits = np.flatnonzero(touched[flat])  # element order, then corner
+    hits = hits[np.argsort(flat[hits], kind="stable")]  # by node, element order kept
+    elem, corner = hits >> 3, hits & 7
+    counts = np.bincount(np.searchsorted(rows, flat[hits]), minlength=len(rows))
+    blocks = np.empty((len(rows), 27), dtype=conn.dtype)
+    blocks[np.repeat(np.arange(len(rows)), counts)[:, None], _BLOCK_IDS[corner]] = conn[elem]
+    ends = np.cumsum(counts).tolist()
+    corner = corner.tolist()
+    keys = [tuple(corner[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return keys, blocks
 
 
 # --- state ---------------------------------------------------------------------
@@ -277,45 +378,163 @@ def initial_state(mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
 
 @dataclass(frozen=True)
 class _Operator:
-    """M and A = M + dt K over the active nodes, rows in node-key order.
+    """What the solve reads of M and A = M + dt K over the active elements.
 
-    Keyed by lattice and Morton keys rather than node-table ids, so it
-    stays valid across refinements and is carried from deposit to deposit.
+    ``a_free`` is the block of A over the nodes free by geometry (active,
+    z > 0), ``lift`` its bed lift ``(A @ x_bed)[free]`` and ``diag`` its
+    diagonal; ``mass`` is M as its matvec needs it: the lumped diagonal over
+    the active nodes, or consistent CSR rows over them. Keyed by leaf Morton
+    keys and node lattice keys rather than node-table ids, so it stays
+    valid across refinements and is carried from deposit to deposit.
+    ``memo`` maps a node's stencil key to its ``_StencilRow``; it is shared
+    along the carried chain.
     """
 
-    setup: tuple  # (material, lumped_mass, dt) it was built for
+    setup: tuple  # (material, lumped_mass, dt, t_bed) it was built for
+    memo: dict
     leaf_keys: np.ndarray  # Morton keys of the active leaves it covers
-    node_keys: np.ndarray  # lattice keys of its rows
-    mass: sp.csr_matrix
-    a: sp.csr_matrix
+    node_keys: np.ndarray  # lattice keys of the active nodes
+    free_keys: np.ndarray  # lattice keys of the free ones, the rows of a_free
+    a_free: sp.csr_matrix
+    lift: np.ndarray
+    diag: np.ndarray
+    mass: np.ndarray | sp.csr_matrix
 
 
-def _widen(mat: sp.csr_matrix, nodes: np.ndarray, n: int) -> sp.csr_matrix:
-    """An active-node matrix on the full node table; other rows stay empty."""
-    lens = np.zeros(n, dtype=np.int64)
-    lens[nodes] = np.diff(mat.indptr)
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    return sp.csr_matrix((mat.data, nodes[mat.indices], indptr), shape=(n, n))
+def _empty_operator(setup: tuple) -> _Operator:
+    none = np.empty(0)
+    return _Operator(setup, {}, np.empty(0, np.uint64), np.empty(0, np.int64),
+                     np.empty(0, np.int64), sp.csr_matrix((0, 0)), none, none,
+                     none if setup[1] else sp.csr_matrix((0, 0)))
+
+
+def _lookup(op: _Operator, conn: np.ndarray, rows: np.ndarray,
+            m: int) -> tuple[list[_StencilRow], np.ndarray]:
+    """The memo rows of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
+
+    Stencils not in the memo yet are built, all in one ``_couple`` call.
+    """
+    mat, lumped, dt, _ = op.setup
+    keys, blocks = _stencils(conn, rows, m)
+    missing = [key for key in dict.fromkeys(keys) if key not in op.memo]
+    if missing:
+        op.memo.update(zip(missing, _stencil_rows(missing, _element_pair(mat, lumped), dt)))
+    return [op.memo[key] for key in keys], blocks
+
+
+def _joined(blocks: np.ndarray, cols: list, vals: list) -> _Rows:
+    """Memo rows end to end, their block ids mapped to node ids through ``blocks``."""
+    lens = [len(c) for c in cols]
+    seg = np.repeat(np.arange(len(cols)), lens)
+    return _Rows(np.concatenate(([0], np.cumsum(lens))), blocks[seg, np.concatenate(cols)],
+                 np.concatenate(vals))
+
+
+def _diagonal(cols: list, vals: list) -> np.ndarray:
+    """Each memo row's value in its own node's column."""
+    return np.concatenate(vals)[np.concatenate(cols) == _CENTER]
+
+
+def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.ndarray,
+           nodes: np.ndarray, free: np.ndarray, setup: tuple) -> _Operator:
+    """The operator over ``act``; from ``prev`` only the new leaves' corner rows change.
+
+    ``conn`` holds the active leaves' node ids, ``nodes`` the active node
+    ids and ``free`` those of them free by geometry.
+    """
+    _, lumped, _, t_bed = setup
+    keys, coords = mesh.snapshot().node_keys, mesh.node_coords
+    leaf_keys = mesh.keys[act]
+    if prev is None:
+        prev = _empty_operator(setup)
+    elif prev.setup != setup:
+        raise FemError(
+            "previous system was built for another material, mass or dt, or another bed temperature"
+        )
+    pos = np.minimum(np.searchsorted(leaf_keys, prev.leaf_keys), len(leaf_keys) - 1)
+    if not np.array_equal(leaf_keys[pos], prev.leaf_keys):
+        raise FemError("previous system covers a leaf that is no longer active")
+    is_new = np.ones(len(act), dtype=bool)
+    is_new[pos] = False
+    if not is_new.any():
+        return prev
+
+    rows = np.unique(conn[is_new])
+    found, blocks = _lookup(prev, conn, rows, len(keys))
+    a_cols, a_vals = [r.a_cols for r in found], [r.a_vals for r in found]
+    A = _joined(blocks, a_cols, a_vals)
+    row_free = coords[rows, 2] > 0
+    col_free = coords[A.cols, 2] > 0
+    seg = np.repeat(np.arange(len(rows)), np.diff(A.ptr))
+    keep = row_free[seg] & col_free
+    lens = np.bincount(seg[keep], minlength=len(rows))[row_free]
+    fresh = _Rows(np.concatenate(([0], np.cumsum(lens))),
+                  np.searchsorted(free, A.cols[keep]).astype(prev.a_free.indices.dtype),
+                  A.vals[keep])
+    lift = _fold(A, np.where(col_free, 0.0, t_bed))[row_free]
+    diag = _diagonal(a_cols, a_vals)[row_free]
+
+    node_keys, free_keys = keys[nodes], keys[free]
+    to_free = np.searchsorted(free_keys, prev.free_keys)
+    free_rows = np.searchsorted(free, rows[row_free])
+    to_active = np.searchsorted(node_keys, prev.node_keys)
+    active_rows = np.searchsorted(nodes, rows)
+    m_cols, m_vals = [r.m_cols for r in found], [r.m_vals for r in found]
+    if lumped:
+        mass = _splice_values(prev.mass, to_active, active_rows, _diagonal(m_cols, m_vals),
+                              len(nodes))
+    else:
+        M = _joined(blocks, m_cols, m_vals)
+        M = _Rows(M.ptr, np.searchsorted(nodes, M.cols).astype(prev.mass.indices.dtype), M.vals)
+        mass = _splice(prev.mass, to_active, active_rows, M, len(nodes))
+    return _Operator(
+        setup, prev.memo, leaf_keys, node_keys, free_keys,
+        _splice(prev.a_free, to_free, free_rows, fresh, len(free)),
+        _splice_values(prev.lift, to_free, free_rows, lift, len(free)),
+        _splice_values(prev.diag, to_free, free_rows, diag, len(free)),
+        mass,
+    )
+
+
+def _hold(op: _Operator, conn: np.ndarray, free: np.ndarray, held: np.ndarray,
+          x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """``a_free``, ``lift``, ``diag`` and ``free`` with the active nodes ``held`` pinned too.
+
+    Their rows and columns leave the free block, and the lift of every free
+    row that shares an element with one of them is folded again from its
+    full memo row, ``x`` holding the prescribed values (0 at free nodes).
+    """
+    keep = ~np.isin(free, held)
+    a_free, lift, diag, free = op.a_free, op.lift[keep], op.diag[keep], free[keep]
+    if not keep.all():
+        a_free = a_free[keep][:, keep]
+    near = np.intersect1d(conn[np.isin(conn, held).any(axis=1)], free)
+    if len(near):
+        found, blocks = _lookup(op, conn, near, len(x))
+        A = _joined(blocks, [r.a_cols for r in found], [r.a_vals for r in found])
+        lift[np.searchsorted(free, near)] = _fold(A, x[A.cols])
+    return a_free, lift, diag, free
 
 
 @dataclass
 class LinearSystem:
     """One backward-Euler step over the active domain.
 
-    ``a`` is the full-size operator (M + dt K) assembled over active
-    elements and ``mass`` the matching mass matrix; both are views of the
-    ``operator`` held over the active nodes ``nodes``. Later steps of a
-    dwell refresh the right-hand side with ``with_rhs``: ``b = mass @ T``.
-    The latent load ``dt*F`` enters only the first step's ``b``, the one
-    ``assemble`` builds, so a voxel releases its latent heat once.
+    What the solve reads comes from the carried ``operator``: the free block
+    ``a_free`` over the unknowns ``free``, the Dirichlet lift
+    ``(a @ x_pinned)[free]`` and the Jacobi inverse diagonal (None when the
+    diagonal is not positive). ``b`` is ``mass @ T`` on the full node table.
+    Later steps of a dwell refresh it with ``with_rhs``. The latent load
+    ``dt*F`` enters only the first step's ``b``, the one ``assemble``
+    builds, so a voxel releases its latent heat once.
 
-    The reduction is done once per operator: the free block ``a_free``,
-    the Dirichlet lift ``(a @ x_pinned)[free]`` and the Jacobi inverse
-    diagonal (None when the diagonal is not positive).
+    ``a`` (M + dt K over the active ``elements``) and ``mass`` are
+    full-node-table views, built on demand by one whole-mesh assembly.
     """
 
     operator: _Operator
     nodes: np.ndarray
+    elements: np.ndarray
     n: int
     b: np.ndarray
     dirichlet_idx: np.ndarray
@@ -327,12 +546,17 @@ class LinearSystem:
     inv_diag: np.ndarray | None
 
     @functools.cached_property
-    def a(self) -> sp.csr_matrix:
-        return _widen(self.operator.a, self.nodes, self.n)
+    def _whole(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        mat, lumped, dt, _ = self.operator.setup
+        return _couple(self.elements, _element_pair(mat, lumped), dt, self.n)
 
-    @functools.cached_property
+    @property
+    def a(self) -> sp.csr_matrix:
+        return self._whole[1]
+
+    @property
     def mass(self) -> sp.csr_matrix:
-        return _widen(self.operator.mass, self.nodes, self.n)
+        return self._whole[0]
 
     @property
     def constraints(self) -> dict:
@@ -351,51 +575,12 @@ class LinearSystem:
 def _rhs(op: _Operator, nodes: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
     """``mass @ values`` on the full node table; inactive rows are 0."""
     b = np.zeros(n)
-    b[nodes] = op.mass @ values[nodes]
+    if op.setup[1]:
+        # a lumped row's CSR sum: +0.0, its explicit zeros, then m * T
+        b[nodes] = 0.0 + op.mass * values[nodes]
+    else:
+        b[nodes] = op.mass @ values[nodes]
     return b
-
-
-def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, nodes: np.ndarray,
-           setup: tuple) -> _Operator:
-    """The operator over ``act``; from ``prev`` only the new leaves' rows are rebuilt."""
-    mat, lumped, dt = setup
-    pair = _element_pair(mat, lumped)
-    leaf_nodes = mesh.leaf_nodes
-    leaf_keys = mesh.keys[act]
-    node_keys = mesh.snapshot().node_keys[nodes]
-    if prev is None:
-        M, A = _couple(np.searchsorted(nodes, leaf_nodes[act]), pair, dt, len(nodes))
-        return _Operator(setup, leaf_keys, node_keys, M, A)
-    if prev.setup != setup:
-        raise FemError("previous system was built for another material, mass or dt")
-    pos = np.minimum(np.searchsorted(leaf_keys, prev.leaf_keys), len(leaf_keys) - 1)
-    if not np.array_equal(leaf_keys[pos], prev.leaf_keys):
-        raise FemError("previous system covers a leaf that is no longer active")
-    is_new = np.ones(len(act), dtype=bool)
-    is_new[pos] = False
-    if not is_new.any():
-        return _Operator(setup, leaf_keys, node_keys, prev.mass, prev.a)
-
-    # rows of the new leaves' corners, rebuilt from every active element
-    # touching them, taken in leaf (Morton) order like the whole-mesh pass
-    rows = np.unique(leaf_nodes[act[is_new]])
-    touched = np.zeros(len(mesh.node_coords), dtype=bool)
-    touched[rows] = True
-    near = act[touched[leaf_nodes[act]].any(axis=1)]
-    local, conn = np.unique(leaf_nodes[near], return_inverse=True)
-    M, A = _couple(conn.reshape(-1, 8), pair, dt, len(local))
-    to_active = np.searchsorted(nodes, local)
-    keep = np.searchsorted(local, rows)
-    old_to_new = np.searchsorted(node_keys, prev.node_keys)
-    rows = np.searchsorted(nodes, rows)
-
-    def spliced(old, patch):
-        ptr, cols = patch.indptr, to_active.astype(old.indices.dtype)
-        fresh = [(cols[patch.indices[ptr[k]:ptr[k + 1]]], patch.data[ptr[k]:ptr[k + 1]])
-                 for k in keep]
-        return _splice(old, old_to_new, rows, fresh, len(nodes))
-
-    return _Operator(setup, leaf_keys, node_keys, spliced(prev.mass, M), spliced(prev.a, A))
 
 
 def assemble(
@@ -414,8 +599,9 @@ def assemble(
 
     With ``previous``, a system assembled on this mesh before (refinement
     and new active leaves since are fine), its operator is carried: only
-    the rows of the newly active leaves' corners are rebuilt. The result
-    is bit-identical to a whole-mesh assembly.
+    the rows of the newly active leaves' corners are written. Active nodes
+    in ``extra_dirichlet`` are sliced out of the carried free block. The
+    result is bit-identical to a whole-mesh assembly.
     """
     if dt <= 0:
         raise FemError(f"dt must be positive, got {dt}")
@@ -445,25 +631,27 @@ def assemble(
     bed = active_nodes & (coords[:, 2] == 0)
     pinned = ~active_nodes | bed
     prescribed = np.where(bed, bcs.t_bed, bcs.t_ambient)
+    extra = np.zeros(m, dtype=bool)
     for nid, value in (extra_dirichlet or {}).items():
         nid, value = int(nid), float(value)
         if not 0 <= nid < m:
             raise FemError(f"extra_dirichlet node {nid} outside [0, {m})")
         if not math.isfinite(value):
             raise FemError(f"extra_dirichlet value for node {nid} must be finite, got {value}")
-        pinned[nid] = True
+        extra[nid] = True
         prescribed[nid] = value
+    pinned |= extra
     idx = np.flatnonzero(pinned)
 
     nodes = np.flatnonzero(active_nodes)
+    conn = leaf_nodes[act]
+    free = nodes[~bed[nodes]]
     op = _carry(previous.operator if previous is not None else None,
-                mesh, act, nodes, (mat, lumped_mass, dt))
-
-    # Reduce once: free block, Dirichlet lift and Jacobi diagonal.
-    free_rows = ~pinned[nodes]
-    a_free = op.a[free_rows][:, free_rows]
-    diag = a_free.diagonal()
-    x_pinned = np.where(free_rows, 0.0, prescribed[nodes])
+                mesh, act, conn, nodes, free, (mat, lumped_mass, dt, bcs.t_bed))
+    a_free, lift, diag = op.a_free, op.lift, op.diag
+    held = np.flatnonzero(extra & active_nodes)
+    if len(held):
+        a_free, lift, diag, free = _hold(op, conn, free, held, np.where(pinned, prescribed, 0.0))
 
     # Active leaves are unit voxels: each corner gets an eighth of the source.
     F = np.zeros(m)
@@ -474,14 +662,15 @@ def assemble(
     return LinearSystem(
         operator=op,
         nodes=nodes,
+        elements=conn,
         n=m,
         b=b,
         dirichlet_idx=idx,
         dirichlet_val=prescribed[idx],
         dt=dt,
-        free=nodes[free_rows],
+        free=free,
         a_free=a_free,
-        lift=(op.a @ x_pinned)[free_rows],
+        lift=lift,
         inv_diag=1.0 / diag if np.all(diag > 0) else None,
     )
 
@@ -505,6 +694,8 @@ def _pcg(A, inv_diag, b, x0, rel_tol, max_iter):
     for it in range(max_iter + 1):
         r_norm = float(np.linalg.norm(r))
         residuals.append(r_norm)
+        if not math.isfinite(r_norm):
+            raise SolverError(f"PCG residual is not finite at iteration {it}", residuals)
         if r_norm <= rel_tol * b_norm:
             return x, it
         if it == max_iter:
@@ -533,8 +724,11 @@ def solve(
     """Solve one step; returns the full nodal vector and PCG iteration count.
 
     PCG runs on the free block that ``assemble`` reduced; Dirichlet nodes
-    carry their prescriptions exactly.
+    carry their prescriptions exactly. ``x0``, when given, is a full nodal
+    vector; PCG starts from its free entries.
     """
+    if x0 is not None and len(x0) != system.n:
+        raise FemError(f"x0 has {len(x0)} values for a system on {system.n} nodes")
     x = np.zeros(system.n)
     x[system.dirichlet_idx] = system.dirichlet_val
     free = system.free
@@ -552,8 +746,11 @@ def solve(
 # --- activation and transfer ------------------------------------------------------
 
 
-def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySpec) -> None:
-    """Overwrite the 8 nodes of a freshly printed voxel with the deposit value."""
+def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySpec) -> int:
+    """Overwrite the 8 nodes of a freshly printed voxel with the deposit value.
+
+    Returns the voxel's leaf index.
+    """
     t = (int(voxel[0]), int(voxel[1]), int(voxel[2]))
     if t in state.deposited:
         raise FemError(f"voxel {t} already activated")
@@ -562,6 +759,7 @@ def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySp
         raise FemError(f"voxel {t} is not classified as an active voxel-level leaf")
     state.values[mesh.leaf_nodes[idx]] = bcs.t_deposit
     state.deposited.add(t)
+    return idx
 
 
 def transfer_solution(

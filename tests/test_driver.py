@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import voxtherm.driver as driver_mod
 from voxtherm.driver import DriverError, SimConfig, compare_sparsity, run
@@ -165,6 +166,38 @@ def test_mode_matrix_outputs_are_pinned_bytewise(mode, lumped):
     digest, iters = MODE_PINS[(mode, lumped)]
     assert hashlib.sha256(state.values.tobytes()).hexdigest() == digest
     assert [r.solver_iters for r in report.records] == iters
+
+
+def test_plain_deposits_splice_memo_rows_without_slicing(monkeypatch):
+    """A print runs the element kernel at most once per distinct stencil (plus
+    one) and never indexes a sparse matrix: each deposit splices memo rows."""
+    couple = driver_mod.fem._couple
+    calls = {"couple": 0, "getitem": 0}
+    systems = []
+
+    def counted_couple(*args):
+        calls["couple"] += 1
+        return couple(*args)
+
+    def counted_getitem(self, key):
+        calls["getitem"] += 1
+        return getitem(self, key)
+
+    def kept_assemble(*args, **kwargs):
+        systems.append(assemble(*args, **kwargs))
+        return systems[-1]
+
+    assemble, getitem = driver_mod.fem.assemble, sp.csr_matrix.__getitem__
+    monkeypatch.setattr(driver_mod.fem, "_couple", counted_couple)
+    monkeypatch.setattr(driver_mod.fem, "assemble", kept_assemble)
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", counted_getitem, raising=False)
+    schedule = gen_test_schedule("sphere", VoxelGrid(dims=(12, 12, 12)), radius=4,
+                                 center=(6, 6, 4))
+    run(schedule, SimConfig(cooldown_steps=2))
+    memo = systems[-1].operator.memo
+    assert len(schedule.order) > 100 and len(memo) > 50
+    assert calls["couple"] <= len(memo) + 1
+    assert calls["getitem"] == 0
 
 
 def test_held_mode_pins_deposit_nodes_during_dwell():

@@ -270,6 +270,22 @@ def test_with_rhs_matches_fresh_assembly():
     np.testing.assert_array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("lumped", [True, False])
+def test_rhs_equals_the_mass_matvec_signed_zeros_included(lumped):
+    """``b`` is ``mass @ T`` bit for bit; a lumped row's explicit zeros turn a
+    -0.0 product into +0.0."""
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    system = assemble(mesh, state, MaterialParams(), bcs, dt=0.5, lumped_mass=lumped)
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=system.n)
+    values[system.nodes[::2]] = -0.0
+    b = system.with_rhs(values).b
+    assert b.tobytes() == (system.mass @ values).tobytes()
+    if lumped:
+        assert not np.signbit(b[system.nodes[::2]]).any()
+
+
 def test_zero_rhs_solves_to_zero_in_zero_iterations():
     mesh = column_mesh()
     bcs = BoundarySpec(t_bed=0.0, t_deposit=0.0, t_ambient=0.0)
@@ -292,6 +308,38 @@ def test_solver_failure_raises_with_residual_history():
     with pytest.raises(SolverError) as err:
         solve(system, max_iter=1)
     assert len(err.value.residuals) >= 1
+
+
+def test_solve_rejects_x0_of_the_wrong_length():
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    for z in range(3):
+        activate_voxel(mesh, state, (0, 0, z), bcs)
+    system = assemble(mesh, state, MaterialParams(kappa=0.05), bcs, dt=0.5)
+    n = system.n
+    for size in (n + 50, 10):
+        with pytest.raises(FemError, match=f"x0 has {size} values for a system on {n} nodes"):
+            solve(system, x0=np.zeros(size))
+
+
+def test_non_finite_residual_stops_pcg_at_once():
+    """A NaN in x0 at an unknown fails at the first residual, with its history;
+    one at a pinned node is never read."""
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    for z in range(3):
+        activate_voxel(mesh, state, (0, 0, z), bcs)
+    system = assemble(mesh, state, MaterialParams(kappa=0.05), bcs, dt=0.5)
+    _, iters = solve(system, x0=state.values)
+    x0 = state.values.copy()
+    x0[system.dirichlet_idx[0]] = math.nan
+    assert solve(system, x0=x0)[1] == iters
+    x0[system.free[0]] = math.nan
+    with pytest.raises(SolverError, match="not finite at iteration 0") as err:
+        solve(system, x0=x0)
+    assert len(err.value.residuals) == 1 and math.isnan(err.value.residuals[0])
 
 
 def test_all_dirichlet_element_reproduces_prescriptions():
@@ -395,13 +443,53 @@ def assert_same_bits(x, y):
     assert x.data.tobytes() == y.data.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["initial", "held"])
+def reduced_oracle(mesh, state, mat, bcs, dt, lumped, leaf, extra):
+    """The solved system by slicing ``whole_table_operator``: the free block,
+    the Dirichlet lift, the Jacobi inverse diagonal, the first step's ``b``
+    and the free node ids."""
+    M, A = whole_table_operator(mesh, mat, dt, lumped)
+    coords = mesh.node_coords
+    active = mesh.active_node_mask()
+    bed = active & (coords[:, 2] == 0)
+    pinned = ~active | bed
+    prescribed = np.where(bed, bcs.t_bed, bcs.t_ambient)
+    for nid, value in (extra or {}).items():
+        pinned[nid] = True
+        prescribed[nid] = value
+    free = np.flatnonzero(~pinned)
+    a_free = A[free][:, free]
+    lift = (A @ np.where(pinned, prescribed, 0.0))[free]
+    F = np.zeros(len(coords))
+    F[mesh.leaf_nodes[leaf]] += mat.latent_source / 8.0
+    b = M @ state.values + dt * F
+    return a_free, lift, 1.0 / a_free.diagonal(), b, free
+
+
+def random_pins(rng, mesh, bcs, leaf):
+    """Extra pins on an active bed node (at a value other than ``t_bed``), an
+    inactive node and an active node above the bed other than the deposit's."""
+    coords = mesh.node_coords
+    active = mesh.active_node_mask()
+    above = active & (coords[:, 2] > 0)
+    above[mesh.leaf_nodes[leaf]] = False
+    pins = {int(rng.choice(np.flatnonzero(~active))): 0.4}
+    for pool, value in [(active & (coords[:, 2] == 0), bcs.t_bed + 0.3), (above, 1.7)]:
+        if pool.any():
+            pins[int(rng.choice(np.flatnonzero(pool)))] = value
+    return pins
+
+
+@pytest.mark.parametrize("mode", ["initial", "held", "pinned"])
 @pytest.mark.parametrize("lumped", [True, False])
 def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
-    """After every deposit of random prints, the operator carried from the last
-    deposit (only the new voxel's rows rebuilt) equals a fresh whole-mesh
-    assembly bit for bit, and so do its first right-hand side and its solve."""
-    rng = np.random.default_rng(20261018 + lumped + 2 * (mode == "held"))
+    """After every deposit of random prints, the system carried from the last
+    deposit (only the new voxel's rows written) equals a fresh whole-mesh
+    assembly bit for bit: its free block, lift, inverse diagonal and first
+    right-hand side are slices of the whole-table operator, its ``a`` and
+    ``mass`` views equal that operator, and so does its solve. ``held`` pins
+    the deposit's corners; ``pinned`` pins a bed node off ``t_bed``, an
+    inactive node and an active node above the bed."""
+    rng = np.random.default_rng(20261018 + lumped + 2 * ["initial", "held", "pinned"].index(mode))
     bcs = BoundarySpec()
     mat = MaterialParams(kappa=0.2, latent_source=0.3)
     dt = 0.7
@@ -421,17 +509,25 @@ def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
             if mesh.refine_to_voxel(voxel):
                 state = transfer_solution(old, state, mesh, bcs)
             mesh.classify([voxel])
-            activate_voxel(mesh, state, voxel, bcs)
-            leaf = mesh.find_leaf(voxel)
+            leaf = activate_voxel(mesh, state, voxel, bcs)
             extra = None
             if mode == "held":
                 extra = {int(nid): bcs.t_deposit for nid in mesh.leaf_nodes[leaf]}
+            elif mode == "pinned":
+                extra = random_pins(rng, mesh, bcs, leaf)
             kwargs = dict(lumped_mass=lumped, latent_leaves=(leaf,), extra_dirichlet=extra)
             fresh = assemble(mesh, state, mat, bcs, dt, **kwargs)
             carried = assemble(mesh, state, mat, bcs, dt, previous=carried, **kwargs)
+            a_free, lift, inv_diag, b, free = reduced_oracle(
+                mesh, state, mat, bcs, dt, lumped, leaf, extra)
+            for system in (carried, fresh):
+                assert_same_bits(system.a_free, a_free)
+                assert system.lift.tobytes() == lift.tobytes()
+                assert system.inv_diag.tobytes() == inv_diag.tobytes()
+                assert system.b.tobytes() == b.tobytes()
+                np.testing.assert_array_equal(system.free, free)
             assert_same_bits(carried.a, fresh.a)
             assert_same_bits(carried.mass, fresh.mass)
-            assert carried.b.tobytes() == fresh.b.tobytes()
             M, A = whole_table_operator(mesh, mat, dt, lumped)
             assert_same_bits(fresh.a, A)
             assert_same_bits(fresh.mass, M)
@@ -441,6 +537,66 @@ def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
             state.values = x2
             deposits += 1
     assert deposits > 50
+
+
+def patch_rows(mesh, rows, mat, dt, lumped):
+    """Rows ``rows`` of M and A by the 27-element patch rebuild, kept as the
+    reference: ``_couple`` on every active element touching them, in leaf
+    order, numbered locally in node order. Returns per row the (columns,
+    values) of M and of A, columns as node ids."""
+    act = np.flatnonzero(mesh.active)
+    touched = np.zeros(len(mesh.node_coords), dtype=bool)
+    touched[rows] = True
+    near = act[touched[mesh.leaf_nodes[act]].any(axis=1)]
+    local, conn = np.unique(mesh.leaf_nodes[near], return_inverse=True)
+    M, A = fem._couple(conn.reshape(-1, 8), fem._element_pair(mat, lumped), dt, len(local))
+    out = []
+    for k in np.searchsorted(local, rows):
+        m, a = slice(M.indptr[k], M.indptr[k + 1]), slice(A.indptr[k], A.indptr[k + 1])
+        out.append((local[M.indices[m]], M.data[m], local[A.indices[a]], A.data[a]))
+    return out
+
+
+@pytest.mark.parametrize("lumped", [True, False])
+def test_memo_rows_match_the_patch_rebuild(lumped):
+    """On random prints, every deposit's corner rows taken from the stencil memo
+    equal the rows the 27-element patch builds, bit for bit, and every memo
+    entry is checked so."""
+    rng = np.random.default_rng(20261019 + lumped)
+    bcs = BoundarySpec()
+    mat = MaterialParams(kappa=0.3)
+    dt = 0.9
+    for _ in range(5):
+        max_level = int(rng.integers(3, 5))
+        mesh = OctreeMesh(max_level=max_level, base_level=int(rng.integers(0, 3)))
+        state = initial_state(mesh, bcs)
+        lo = rng.integers(0, (1 << max_level) - 3, size=3)
+        lo[2] = int(rng.integers(0, 2))
+        box = [tuple(int(c) for c in lo + d) for d in np.ndindex(4, 4, 3)]
+        order = [box[i] for i in rng.permutation(len(box))[: int(rng.integers(10, 30))]]
+        system, checked = None, set()
+        for voxel in order:
+            old = mesh.snapshot()
+            if mesh.refine_to_voxel(voxel):
+                state = transfer_solution(old, state, mesh, bcs)
+            mesh.classify([voxel])
+            leaf = activate_voxel(mesh, state, voxel, bcs)
+            system = assemble(mesh, state, mat, bcs, dt, lumped_mass=lumped, previous=system)
+            rows = np.unique(mesh.leaf_nodes[leaf])
+            m = len(mesh.node_coords)
+            keys, _ = fem._stencils(system.elements, rows, m)
+            found, blocks = fem._lookup(system.operator, system.elements, rows, m)
+            M = fem._joined(blocks, [r.m_cols for r in found], [r.m_vals for r in found])
+            A = fem._joined(blocks, [r.a_cols for r in found], [r.a_vals for r in found])
+            for k, (m_cols, m_vals, a_cols, a_vals) in enumerate(
+                    patch_rows(mesh, rows, mat, dt, lumped)):
+                m_row, a_row = slice(*M.ptr[k:k + 2]), slice(*A.ptr[k:k + 2])
+                np.testing.assert_array_equal(M.cols[m_row], m_cols)
+                np.testing.assert_array_equal(A.cols[a_row], a_cols)
+                assert M.vals[m_row].tobytes() == m_vals.tobytes()
+                assert A.vals[a_row].tobytes() == a_vals.tobytes()
+            checked.update(keys)
+        assert checked == set(system.operator.memo)
 
 
 def test_assemble_rejects_a_previous_system_it_cannot_carry():
@@ -453,6 +609,8 @@ def test_assemble_rejects_a_previous_system_it_cannot_carry():
                               (mat, 0.5, False)]:
         with pytest.raises(FemError, match="another material, mass or dt"):
             assemble(mesh, state, other, bcs, dt, lumped_mass=lumped, previous=system)
+    with pytest.raises(FemError, match="another bed temperature"):
+        assemble(mesh, state, mat, BoundarySpec(t_bed=1.5), dt=0.5, previous=system)
     smaller = column_mesh(active_z=2)
     with pytest.raises(FemError, match="no longer active"):
         assemble(smaller, initial_state(smaller, bcs), mat, bcs, dt=0.5, previous=system)
@@ -538,8 +696,8 @@ def test_activate_voxel_sets_deposit_temperature():
     bcs = BoundarySpec()
     state = initial_state(mesh, bcs)
     mesh.classify([(2, 3, 1)])
-    activate_voxel(mesh, state, (2, 3, 1), bcs)
-    leaf = mesh.find_leaf((2, 3, 1))
+    leaf = activate_voxel(mesh, state, (2, 3, 1), bcs)
+    assert leaf == mesh.find_leaf((2, 3, 1))
     np.testing.assert_array_equal(state.values[mesh.leaf_nodes[leaf]], 2.0)
     assert (2, 3, 1) in state.deposited
 
