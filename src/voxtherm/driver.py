@@ -1,11 +1,11 @@
 """Print-simulation driver: deposit voxels in order, march the heat solve.
 
 For each scheduled voxel the mesh is refined to voxel size at that spot,
-the previous temperature field is transferred onto the new node set, the
-voxel's element turns active at the deposition temperature, and the
-implicit solve advances a fixed number of steps before the next voxel.
-The step operator is carried from voxel to voxel, so each deposit
-rebuilds only its own rows.
+the field is moved by node key onto any nodes that added, activation
+marks the voxel's leaf and sets it to the deposition temperature, and
+the implicit solve advances a fixed number of steps before the next
+voxel. The schedule, checked once, is the record of what was printed.
+The step operator is carried, so each deposit rebuilds only its rows.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class SimConfig:
             raise DriverError(f"cooldown_steps must be >= 0, got {self.cooldown_steps}")
         if self.snapshot_every < 0:
             raise DriverError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        if not self.label.isprintable():
+            raise DriverError(f"label must be printable (no line break or tab): {self.label!r}")
         tags: dict[int, float] = {}
         for f in self.snapshot_fractions:
             if not (0.0 < f <= 1.0):
@@ -199,10 +201,8 @@ def run(
 
     for ordinal, voxel in enumerate(order, start=1):
         v0 = _time.perf_counter()
-        old = mesh.snapshot()
         if mesh.refine_to_voxel(voxel):
-            state = fem.transfer_solution(old, state, mesh, cfg.bcs)
-        mesh.classify([voxel])
+            state = fem.transfer_solution(state, mesh, cfg.bcs)
         leaf = fem.activate_voxel(mesh, state, voxel, cfg.bcs)
         extra = None
         if cfg.deposit_mode == "held":

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .octree import CHILD_OFFSETS, MeshSnapshot, OctreeMesh
+from .octree import CHILD_OFFSETS, OctreeMesh
 
 __all__ = [
     "FemError",
@@ -356,21 +356,24 @@ def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[list, np.ndar
 
 @dataclass
 class ThermalState:
-    """Nodal temperatures aligned with the mesh node table."""
+    """Nodal temperatures; ``values[i]`` sits at the node with lattice key ``node_keys[i]``.
+
+    The keys are those of the node table the values follow, which a refine
+    of ``mesh`` leaves behind until ``transfer_solution`` moves them on.
+    """
 
     mesh: OctreeMesh
     values: np.ndarray
+    node_keys: np.ndarray
     time: float = 0.0
-    deposited: set = field(default_factory=set)
 
     def active_values(self) -> np.ndarray:
         return self.values[self.mesh.active_node_mask()]
 
 
 def initial_state(mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
-    return ThermalState(
-        mesh=mesh, values=np.full(len(mesh.node_coords), bcs.t_ambient, dtype=float)
-    )
+    keys = mesh.snapshot().node_keys
+    return ThermalState(mesh=mesh, values=np.full(len(keys), bcs.t_ambient), node_keys=keys)
 
 
 # --- assembly -------------------------------------------------------------------
@@ -539,7 +542,6 @@ class LinearSystem:
     b: np.ndarray
     dirichlet_idx: np.ndarray
     dirichlet_val: np.ndarray
-    dt: float
     free: np.ndarray
     a_free: sp.csr_matrix
     lift: np.ndarray
@@ -667,7 +669,6 @@ def assemble(
         b=b,
         dirichlet_idx=idx,
         dirichlet_val=prescribed[idx],
-        dt=dt,
         free=free,
         a_free=a_free,
         lift=lift,
@@ -747,40 +748,33 @@ def solve(
 
 
 def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySpec) -> int:
-    """Overwrite the 8 nodes of a freshly printed voxel with the deposit value.
+    """Mark a freshly printed voxel's leaf active and set its 8 nodes to the deposit value.
 
+    The leaf is marked through ``mesh.classify``, so it must already be at
+    the voxel level; ``state`` must follow ``mesh``'s current node table.
     Returns the voxel's leaf index.
     """
-    t = (int(voxel[0]), int(voxel[1]), int(voxel[2]))
-    if t in state.deposited:
-        raise FemError(f"voxel {t} already activated")
-    idx = mesh.find_leaf(t)
-    if not mesh.active[idx] or mesh.levels[idx] != mesh.max_level:
-        raise FemError(f"voxel {t} is not classified as an active voxel-level leaf")
-    state.values[mesh.leaf_nodes[idx]] = bcs.t_deposit
-    state.deposited.add(t)
-    return idx
+    if not np.array_equal(state.node_keys, mesh.snapshot().node_keys):
+        raise FemError("state is not on the mesh's nodes; transfer the solution after refining")
+    (leaf,) = mesh.classify([voxel])
+    state.values[mesh.leaf_nodes[leaf]] = bcs.t_deposit
+    return int(leaf)
 
 
-def transfer_solution(
-    old: MeshSnapshot, state: ThermalState, new_mesh: OctreeMesh, bcs: BoundarySpec
-) -> ThermalState:
-    """Carry nodal values onto a refined mesh.
+def transfer_solution(state: ThermalState, new_mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
+    """Carry nodal values onto a refined mesh, matching old nodes to new ones by key.
 
-    Values at the old nodes are copied bit-exactly; new nodes take the
+    Values at the state's nodes are copied bit-exactly; new nodes take the
     ambient value. A split only adds nodes, and only inside inactive
     leaves, so every new node is either inactive padding that the next
     solve pins to ambient or a corner of the voxel that ``activate_voxel``
     overwrites.
     """
-    if len(state.values) != len(old.node_keys):
-        raise FemError("state does not match the old mesh snapshot")
     new_keys = new_mesh.snapshot().node_keys
+    pos = np.searchsorted(new_keys, state.node_keys)
+    if len(state.values) != len(pos) or not np.array_equal(
+            new_keys.take(pos, mode="clip"), state.node_keys):
+        raise FemError("state does not match its node keys, or they are not all nodes of the mesh")
     new_values = np.full(len(new_keys), bcs.t_ambient)
-    new_values[np.searchsorted(new_keys, old.node_keys)] = state.values
-    return ThermalState(
-        mesh=new_mesh,
-        values=new_values,
-        time=state.time,
-        deposited=set(state.deposited),
-    )
+    new_values[pos] = state.values
+    return ThermalState(mesh=new_mesh, values=new_values, node_keys=new_keys, time=state.time)

@@ -64,7 +64,7 @@ def morton_encode(coords, max_level: int) -> np.ndarray:
 
 
 class MeshSnapshot(NamedTuple):
-    """Immutable view of mesh geometry for solution transfer."""
+    """Immutable view of the mesh geometry and its node table at one version."""
 
     max_level: int
     anchors: np.ndarray
@@ -209,12 +209,13 @@ class OctreeMesh:
         return self._require(voxel, self.max_level)
 
     def classify(self, printed) -> np.ndarray:
-        """Mark leaves holding printed voxels active; return active indices.
+        """Mark leaves holding printed voxels active; return each voxel's leaf, in input order.
 
         Active leaves are never split, so marking is idempotent. A printed
         voxel whose leaf is coarser than the voxel level is a consistency
         error (refine first).
         """
+        leaves = []
         for v in printed:
             t = (int(v[0]), int(v[1]), int(v[2]))
             idx = self.find_leaf(t)
@@ -224,7 +225,8 @@ class OctreeMesh:
                     f"expected level {self.max_level}"
                 )
             self.active[idx] = True
-        return np.flatnonzero(self.active)
+            leaves.append(idx)
+        return np.array(leaves, dtype=np.int64)
 
     # --- nodes --------------------------------------------------------------
 

@@ -61,8 +61,10 @@ class VoxelGrid:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
             raise ScheduleError(f"grid dims must be positive integers, got {self.dims}")
-        if not (self.voxel_size > 0):
-            raise ScheduleError(f"voxel_size must be > 0, got {self.voxel_size}")
+        if not (0 < self.voxel_size < math.inf):
+            raise ScheduleError(f"voxel_size must be positive and finite, got {self.voxel_size}")
+        if not all(math.isfinite(o) for o in self.origin):
+            raise ScheduleError(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
@@ -262,13 +264,10 @@ def _cuboid_cells(grid: VoxelGrid, dims, offset) -> dict:
 
 
 def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
-    if radius <= 0:
-        raise ScheduleError(f"sphere radius must be positive, got {radius}")
-    ctr = (
-        np.asarray(grid.dims, dtype=float) / 2.0
-        if center is None
-        else np.asarray(center, dtype=float)
-    )
+    ctr = np.asarray(grid.dims, float) / 2.0 if center is None else np.asarray(center, float)
+    if not (0 < radius < math.inf and np.isfinite(ctr).all()):
+        raise ScheduleError(f"sphere radius must be positive and finite and its centre finite, "
+                            f"got r={radius} at {tuple(ctr.tolist())}")
     cells: dict[int, dict[int, list[int]]] = {}
     lo = np.floor(ctr - radius - 1).astype(int)
     hi = np.ceil(ctr + radius + 1).astype(int)

@@ -89,6 +89,37 @@ def test_gen_shape_errors_exit_one(tmp_path, capsys):
     assert "requires --radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry", [
+    ["--radius", "nan"],
+    ["--radius", "inf"],
+    ["--radius", "2", "--center", "nan", "4", "4"],
+])
+def test_gen_non_finite_sphere_exits_one(tmp_path, capsys, geometry):
+    for emit in ("schedule", "gcode"):
+        out = tmp_path / f"s.{emit}"
+        assert main(["gen", "--shape", "sphere", *geometry, "--grid", "8", "8", "8",
+                     "--emit", emit, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "shape generation failed" in err and "finite" in err
+        assert not out.exists()
+
+
+def test_non_finite_grid_exits_one(tmp_path, capsys):
+    gcode = tmp_path / "bar.gcode"
+    assert main(["gen", "--shape", "cuboid", "--dims", "2", "1", "1",
+                 "--grid", "4", "4", "4", "--emit", "gcode", "-o", str(gcode)]) == 0
+    for option in (["--voxel-size", "inf"], ["--origin", "0", "nan", "0"]):
+        assert main(["voxelize", str(gcode), "--grid", "4", "4", "4", *option,
+                     "-o", str(tmp_path / "x.sched")]) == 1
+        err = capsys.readouterr().err
+        assert "grid setup failed" in err and "finite" in err
+    sched = tmp_path / "nan.sched"
+    sched.write_text("grid 4 4 4 1.0 nan 0.0 0.0\n0 0 0\n")
+    assert main(["mesh-info", str(sched)]) == 1
+    err = capsys.readouterr().err
+    assert "schedule loading failed" in err and "origin must be finite" in err
+
+
 def test_simulate_end_to_end(tmp_path, capsys):
     sched = tmp_path / "part.sched"
     cfg_path = tmp_path / "run.cfg"

@@ -164,6 +164,12 @@ def test_semantic_validation_rejected():
         parse_config("[output]\nsnapshot_fractions = 0.30 0.3049 1.0\n")
     with pytest.raises(ConfigError, match=r"1\.0 and 1\.0 share the snapshot tag 100"):
         parse_config("[output]\nsnapshot_fractions = 1.0, 1.0\n")
+    # a continuation line gives 'demo\nblock', a tab would write a stray footer key
+    with pytest.raises(ConfigError, match="label must be printable"):
+        parse_config("[output]\nlabel = demo\n  block\n")
+    with pytest.raises(ConfigError, match="label must be printable"):
+        parse_config("[output]\nlabel = a\tb=c\n")
+    assert parse_config("[output]\nlabel = demo part\n").label == "demo part"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

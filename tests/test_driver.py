@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import voxtherm.driver as driver_mod
 from voxtherm.driver import DriverError, SimConfig, compare_sparsity, run
 from voxtherm.fem import BoundarySpec, MaterialParams, SolverError
+from voxtherm.octree import OctreeMesh
 from voxtherm.schedule import (
     SparsityPolicy,
     VoxelGrid,
@@ -33,7 +34,7 @@ def test_empty_schedule_runs_to_empty_report():
     assert math.isnan(report.final_mean)
     assert tags == []
     assert state.time == 0.0
-    assert not state.deposited
+    assert not state.mesh.active.any()
 
 
 def test_single_voxel_long_dwell_reaches_bed_temperature():
@@ -102,6 +103,24 @@ def test_refinement_and_transfer_inside_driver():
     assert report.t_active_min >= 1.0 - 1e-8
     assert report.t_active_max <= 2.0 + 1e-8
     assert np.all(np.isfinite(state.values))
+
+
+def test_each_deposit_looks_its_voxel_up_at_most_twice(monkeypatch):
+    """Refinement and activation each locate the voxel once; nothing else does."""
+    find_leaf = OctreeMesh.find_leaf
+    calls = []
+
+    def counted_find_leaf(mesh, cell):
+        calls.append(cell)
+        return find_leaf(mesh, cell)
+
+    monkeypatch.setattr(OctreeMesh, "find_leaf", counted_find_leaf)
+    schedule = gen_test_schedule("sphere", VoxelGrid(dims=(8, 8, 8)), radius=3,
+                                 center=(4, 4, 3))
+    _, report = run(schedule, SimConfig(base_level=1))
+    n = len(schedule.order)
+    assert report.records[0].leaves < report.records[-1].leaves  # it refines
+    assert n > 50 and len(calls) <= 2 * n
 
 
 def test_inactive_nodes_hold_ambient_after_every_step(monkeypatch):
@@ -269,6 +288,10 @@ def test_config_validation():
         SimConfig(snapshot_fractions=(0.0,))
     with pytest.raises(DriverError):
         SimConfig(base_level=5, max_level=3)
+    for label in ("demo\nblock", "a\tb=c"):
+        with pytest.raises(DriverError, match="label must be printable"):
+            SimConfig(label=label)
+    assert SimConfig(label="demo part").label == "demo part"  # written as demo_part
 
 
 @pytest.mark.parametrize(

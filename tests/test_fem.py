@@ -26,7 +26,7 @@ from voxtherm.fem import (
     solve,
     transfer_solution,
 )
-from voxtherm.octree import OctreeMesh
+from voxtherm.octree import MeshError, OctreeMesh
 
 # corner c covers bits (x, y, z) with x fastest
 CORNERS = [((c >> 0) & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)]
@@ -205,7 +205,8 @@ def test_assemble_rejects_bad_dt_and_stale_state():
         assemble(mesh, state, MaterialParams(), BoundarySpec(), 0.0)
     with pytest.raises(FemError, match="transfer"):
         assemble(
-            mesh, fem.ThermalState(mesh=mesh, values=np.zeros(3)),
+            mesh, fem.ThermalState(mesh=mesh, values=np.zeros(3),
+                                   node_keys=mesh.snapshot().node_keys[:3]),
             MaterialParams(), BoundarySpec(), 1.0,
         )
 
@@ -505,10 +506,8 @@ def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
         order = [box[i] for i in rng.permutation(len(box))[: int(rng.integers(6, 20))]]
         carried = None
         for voxel in order:
-            old = mesh.snapshot()
             if mesh.refine_to_voxel(voxel):
-                state = transfer_solution(old, state, mesh, bcs)
-            mesh.classify([voxel])
+                state = transfer_solution(state, mesh, bcs)
             leaf = activate_voxel(mesh, state, voxel, bcs)
             extra = None
             if mode == "held":
@@ -576,10 +575,8 @@ def test_memo_rows_match_the_patch_rebuild(lumped):
         order = [box[i] for i in rng.permutation(len(box))[: int(rng.integers(10, 30))]]
         system, checked = None, set()
         for voxel in order:
-            old = mesh.snapshot()
             if mesh.refine_to_voxel(voxel):
-                state = transfer_solution(old, state, mesh, bcs)
-            mesh.classify([voxel])
+                state = transfer_solution(state, mesh, bcs)
             leaf = activate_voxel(mesh, state, voxel, bcs)
             system = assemble(mesh, state, mat, bcs, dt, lumped_mass=lumped, previous=system)
             rows = np.unique(mesh.leaf_nodes[leaf])
@@ -695,23 +692,35 @@ def test_activate_voxel_sets_deposit_temperature():
     mesh = OctreeMesh(max_level=2, base_level=2)
     bcs = BoundarySpec()
     state = initial_state(mesh, bcs)
-    mesh.classify([(2, 3, 1)])
     leaf = activate_voxel(mesh, state, (2, 3, 1), bcs)
     assert leaf == mesh.find_leaf((2, 3, 1))
     np.testing.assert_array_equal(state.values[mesh.leaf_nodes[leaf]], 2.0)
-    assert (2, 3, 1) in state.deposited
+    np.testing.assert_array_equal(np.flatnonzero(mesh.active), [leaf])  # it marks the leaf
 
 
-def test_activate_voxel_rejects_duplicates_and_unclassified():
-    mesh = OctreeMesh(max_level=2, base_level=2)
+def test_activate_voxel_rejects_an_unrefined_voxel():
+    mesh = OctreeMesh(max_level=2, base_level=1)
     bcs = BoundarySpec()
     state = initial_state(mesh, bcs)
-    with pytest.raises(FemError, match="not classified"):
+    with pytest.raises(MeshError, match="level-1 leaf"):
         activate_voxel(mesh, state, (0, 0, 0), bcs)
-    mesh.classify([(0, 0, 0)])
-    activate_voxel(mesh, state, (0, 0, 0), bcs)
-    with pytest.raises(FemError, match="already"):
+    assert not mesh.active.any()
+    np.testing.assert_array_equal(state.values, bcs.t_ambient)
+
+
+def test_activate_voxel_rejects_a_state_left_stale_by_a_refine():
+    mesh = OctreeMesh(max_level=3, base_level=1)
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    assert mesh.refine_to_voxel((0, 0, 0))
+    stale = state.values.copy()
+    with pytest.raises(FemError, match="transfer the solution"):
         activate_voxel(mesh, state, (0, 0, 0), bcs)
+    assert not mesh.active.any()
+    assert state.values.tobytes() == stale.tobytes()
+    state = transfer_solution(state, mesh, bcs)
+    leaf = activate_voxel(mesh, state, (0, 0, 0), bcs)
+    np.testing.assert_array_equal(state.values[mesh.leaf_nodes[leaf]], bcs.t_deposit)
 
 
 # --- transfer -------------------------------------------------------------------
@@ -765,7 +774,7 @@ def test_transfer_matches_containment_oracle_on_random_field():
     old = mesh.snapshot()
     old_values = state.values.copy()
     assert mesh.refine_to_voxel((0, 0, 0))
-    new_state = transfer_solution(old, state, mesh, bcs)
+    new_state = transfer_solution(state, mesh, bcs)
     for nid, coord in enumerate(mesh.node_coords.tolist()):
         candidates = oracle_transfer(old, old_values, coord, bcs.t_ambient)
         assert candidates, coord
@@ -784,8 +793,9 @@ def test_transfer_after_successive_refinements():
         old = mesh.snapshot()
         old_values = {tuple(c): v for c, v in zip(old.node_coords.tolist(), state.values)}
         assert mesh.refine_to_voxel(voxel)
-        new_state = transfer_solution(old, state, mesh, bcs)
+        new_state = transfer_solution(state, mesh, bcs)
         assert len(new_state.values) == len(mesh.node_coords) > len(old.node_coords)
+        np.testing.assert_array_equal(new_state.node_keys, mesh.snapshot().node_keys)
         for coord, value in zip(mesh.node_coords.tolist(), new_state.values):
             assert value == old_values.get(tuple(coord), bcs.t_ambient)
         assert new_state.time == state.time
@@ -794,7 +804,11 @@ def test_transfer_after_successive_refinements():
 
 def test_transfer_rejects_mismatched_state():
     mesh = OctreeMesh(max_level=2, base_level=1)
-    old = mesh.snapshot()
-    bad = fem.ThermalState(mesh=mesh, values=np.zeros(2))
+    bad = fem.ThermalState(mesh=mesh, values=np.zeros(2), node_keys=mesh.snapshot().node_keys)
     with pytest.raises(FemError):
-        transfer_solution(old, bad, mesh, BoundarySpec())
+        transfer_solution(bad, mesh, BoundarySpec())
+    # a state on nodes the mesh does not have: a finer mesh's onto a coarser one
+    fine = OctreeMesh(max_level=2, base_level=1)
+    fine.refine_to_voxel((0, 0, 0))
+    with pytest.raises(FemError, match="not all nodes of the mesh"):
+        transfer_solution(initial_state(fine, BoundarySpec()), mesh, BoundarySpec())

@@ -290,6 +290,15 @@ def test_classify_marks_and_validates_levels():
     mesh.validate()
     # classify is monotone: re-adding is a no-op
     assert len(mesh.classify([(0, 0, 0)])) == 1
+    assert mesh.active.sum() == 1
+    # several voxels: each one's leaf, in input order, repeats included
+    printed = [(7, 7, 7), (0, 0, 0), (3, 4, 2), (7, 0, 5), (3, 4, 2)]
+    for v in printed:
+        mesh.refine_to_voxel(v)
+    leaves = mesh.classify(printed)
+    np.testing.assert_array_equal(leaves, [mesh.find_leaf(v) for v in printed])
+    assert list(np.flatnonzero(mesh.active)) == sorted(set(leaves.tolist()))
+    mesh.validate()
 
 
 def test_split_refuses_active_and_bottom_leaves():

@@ -19,6 +19,7 @@ from voxtherm.schedule import (
     build_schedule,
     gen_test_schedule,
     load_schedule,
+    parse_schedule,
     rasterize_segment,
     save_schedule,
 )
@@ -329,6 +330,13 @@ def test_grid_validation():
         VoxelGrid(dims=(0, 2, 2))
     with pytest.raises(ScheduleError):
         VoxelGrid(dims=(2, 2, 2), voxel_size=0.0)
+    for size in (math.inf, math.nan):
+        with pytest.raises(ScheduleError, match="voxel_size must be positive and finite"):
+            VoxelGrid(dims=(2, 2, 2), voxel_size=size)
+    with pytest.raises(ScheduleError, match="origin must be finite"):
+        VoxelGrid(dims=(2, 2, 2), origin=(0.0, math.nan, 0.0))
+    with pytest.raises(ScheduleError, match="origin must be finite"):
+        parse_schedule("grid 4 4 4 1.0 nan 0.0 0.0\n")
     assert VoxelGrid(dims=(16, 16, 16)).octree_level == 4
     assert VoxelGrid(dims=(4, 4, 2)).octree_level == 2
     assert VoxelGrid(dims=(5, 1, 1)).octree_level == 3
