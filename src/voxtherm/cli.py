@@ -9,18 +9,18 @@ from __future__ import annotations
 import os
 import sys
 
-# BLAS/OpenMP pools read these at library load, so cap before the heavy
-# imports pull in numpy/scipy.
-_threads = os.environ.get("VOXTHERM_THREADS")
-if _threads and _threads.isdigit():
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
+# One BLAS/OpenMP thread unless the user set a pool's size. A threaded BLAS
+# splits long dot products (OpenBLAS above 10,000 elements), which changes
+# their rounding, so the solve's bytes would depend on the core count. The
+# pools read these at library load, so set them before numpy/scipy import.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 from pathlib import Path

@@ -1,7 +1,7 @@
 """Print-simulation driver: deposit voxels in order, march the heat solve.
 
 For each scheduled voxel the mesh is refined to voxel size at that spot,
-the field is moved by node key onto any nodes that added, activation
+the field takes the nodes that added at ambient, activation
 marks the voxel's leaf and sets it to the deposition temperature, and
 the implicit solve advances a fixed number of steps before the next
 voxel. The schedule, checked once, is the record of what was printed.

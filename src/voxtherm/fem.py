@@ -240,17 +240,19 @@ def _splice(old: sp.csr_matrix, old_to_new: np.ndarray, rows: np.ndarray, fresh:
     """``old`` on ``n`` nodes: rows ``rows`` rebuilt, the others renumbered.
 
     ``old_to_new`` gives each old row its new id and also renumbers the old
-    columns. ``rows`` are sorted new ids, and ``fresh`` row k is row
-    ``rows[k]`` in new ids; it replaces an old row or goes in between two.
-    Every other row keeps its values.
+    columns; it only shifts ids up past the rows inserted, so row order and
+    the order of columns within a row hold. ``rows`` are sorted new ids, and
+    ``fresh`` row k is row ``rows[k]`` in new ids; it replaces an old row or
+    goes in between two. Every other row keeps its values.
     """
     idx_t = old.indices.dtype
     indptr = np.zeros(n + 1, dtype=idx_t)
     indptr[old_to_new + 1] = np.diff(old.indptr)
     indptr[rows + 1] = np.diff(fresh.ptr)
     np.cumsum(indptr, out=indptr)
-    # a gather through native-width ids runs several times faster than int32
-    indices = old_to_new.take(old.indices.astype(np.intp)).astype(idx_t)
+    indices = old.indices
+    if n > len(old_to_new):  # rows were inserted, so the columns past them move up
+        indices = old_to_new.astype(idx_t).take(indices)
     stops = np.searchsorted(old_to_new, rows)  # old rows before each rebuilt one
     starts = np.searchsorted(old_to_new, rows, side="right")  # past the one it replaces
     ptr, fptr, lo = old.indptr, fresh.ptr, 0
@@ -386,28 +388,30 @@ class _Operator:
     ``a_free`` is the block of A over the nodes free by geometry (active,
     z > 0), ``lift`` its bed lift ``(A @ x_bed)[free]`` and ``diag`` its
     diagonal; ``mass`` is M as its matvec needs it: the lumped diagonal over
-    the active nodes, or consistent CSR rows over them. Keyed by leaf Morton
-    keys and node lattice keys rather than node-table ids, so it stays
-    valid across refinements and is carried from deposit to deposit.
-    ``memo`` maps a node's stencil key to its ``_StencilRow``; it is shared
-    along the carried chain.
+    the active nodes, or consistent CSR rows over them. Its active leaves
+    are held by Morton key, its nodes by id in the node table ``table``; a
+    refine only inserts nodes, so those ids follow it by one cumulative
+    shift and the operator is carried from deposit to deposit. ``memo``
+    maps a node's stencil key to its ``_StencilRow``; it is shared along the
+    carried chain.
     """
 
     setup: tuple  # (material, lumped_mass, dt, t_bed) it was built for
     memo: dict
     leaf_keys: np.ndarray  # Morton keys of the active leaves it covers
-    node_keys: np.ndarray  # lattice keys of the active nodes
-    free_keys: np.ndarray  # lattice keys of the free ones, the rows of a_free
+    table: np.ndarray  # lattice keys of the node table its ids are on
+    nodes: np.ndarray  # ids of the active nodes
+    free: np.ndarray  # ids of the free ones, the rows of a_free
     a_free: sp.csr_matrix
     lift: np.ndarray
     diag: np.ndarray
     mass: np.ndarray | sp.csr_matrix
 
 
-def _empty_operator(setup: tuple) -> _Operator:
-    none = np.empty(0)
-    return _Operator(setup, {}, np.empty(0, np.uint64), np.empty(0, np.int64),
-                     np.empty(0, np.int64), sp.csr_matrix((0, 0)), none, none,
+def _empty_operator(setup: tuple, table: np.ndarray) -> _Operator:
+    none, ids = np.empty(0), np.empty(0, np.intp)
+    return _Operator(setup, {}, np.empty(0, np.uint64), table, ids, ids,
+                     sp.csr_matrix((0, 0)), none, none,
                      none if setup[1] else sp.csr_matrix((0, 0)))
 
 
@@ -438,18 +442,53 @@ def _diagonal(cols: list, vals: list) -> np.ndarray:
     return np.concatenate(vals)[np.concatenate(cols) == _CENTER]
 
 
+def _merge(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted ``ids`` with the sorted ``rows`` merged in.
+
+    Returns the merged ids, each old id's position in them and each row's.
+    """
+    at = np.searchsorted(ids, rows)
+    new = at == np.searchsorted(ids, rows, side="right")  # not in ids yet
+    slots = at[new] + np.arange(np.count_nonzero(new))  # their positions once merged
+    keep = np.ones(len(ids) + len(slots), dtype=bool)
+    keep[slots] = False
+    old_to_new = np.flatnonzero(keep)
+    merged = np.empty(len(keep), dtype=ids.dtype)
+    merged[old_to_new] = ids
+    merged[slots] = rows[new]
+    return merged, old_to_new, np.searchsorted(merged, rows)
+
+
+def _follow(prev: _Operator, mesh: OctreeMesh, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prev``'s active and free node ids on ``mesh``'s node table ``keys``.
+
+    The nodes a refine added push every later id up by one each. A system
+    built on another mesh is matched by key.
+    """
+    added = mesh.nodes_added_since(prev.table)
+    if added is None:
+        return (np.searchsorted(keys, prev.table[prev.nodes]),
+                np.searchsorted(keys, prev.table[prev.free]))
+    if len(added) == 0:
+        return prev.nodes, prev.free
+    at = added - np.arange(len(added))  # each added node's place among the old ids
+    return (prev.nodes + np.searchsorted(at, prev.nodes, side="right"),
+            prev.free + np.searchsorted(at, prev.free, side="right"))
+
+
 def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.ndarray,
-           nodes: np.ndarray, free: np.ndarray, setup: tuple) -> _Operator:
+           setup: tuple) -> _Operator:
     """The operator over ``act``; from ``prev`` only the new leaves' corner rows change.
 
-    ``conn`` holds the active leaves' node ids, ``nodes`` the active node
-    ids and ``free`` those of them free by geometry.
+    ``conn`` holds the active leaves' node ids. ``prev``'s ids follow the
+    nodes refinement added, and the new leaves' corners join the active and
+    free ids, so no id is searched for in a whole key array.
     """
     _, lumped, _, t_bed = setup
     keys, coords = mesh.snapshot().node_keys, mesh.node_coords
     leaf_keys = mesh.keys[act]
     if prev is None:
-        prev = _empty_operator(setup)
+        prev = _empty_operator(setup, keys)
     elif prev.setup != setup:
         raise FemError(
             "previous system was built for another material, mass or dt, or another bed temperature"
@@ -459,8 +498,9 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
         raise FemError("previous system covers a leaf that is no longer active")
     is_new = np.ones(len(act), dtype=bool)
     is_new[pos] = False
+    nodes, free = _follow(prev, mesh, keys)
     if not is_new.any():
-        return prev
+        return replace(prev, table=keys, nodes=nodes, free=free)
 
     rows = np.unique(conn[is_new])
     found, blocks = _lookup(prev, conn, rows, len(keys))
@@ -468,20 +508,20 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
     A = _joined(blocks, a_cols, a_vals)
     row_free = coords[rows, 2] > 0
     col_free = coords[A.cols, 2] > 0
+    nodes, to_active, active_rows = _merge(nodes, rows)
+    free, to_free, free_rows = _merge(free, rows[row_free])
     seg = np.repeat(np.arange(len(rows)), np.diff(A.ptr))
     keep = row_free[seg] & col_free
     lens = np.bincount(seg[keep], minlength=len(rows))[row_free]
     fresh = _Rows(np.concatenate(([0], np.cumsum(lens))),
                   np.searchsorted(free, A.cols[keep]).astype(prev.a_free.indices.dtype),
                   A.vals[keep])
-    lift = _fold(A, np.where(col_free, 0.0, t_bed))[row_free]
+    if col_free.all():  # no bed column: each term is a value times +0.0, so the sum is +0.0
+        lift = np.zeros(len(free_rows))
+    else:
+        lift = _fold(A, np.where(col_free, 0.0, t_bed))[row_free]
     diag = _diagonal(a_cols, a_vals)[row_free]
 
-    node_keys, free_keys = keys[nodes], keys[free]
-    to_free = np.searchsorted(free_keys, prev.free_keys)
-    free_rows = np.searchsorted(free, rows[row_free])
-    to_active = np.searchsorted(node_keys, prev.node_keys)
-    active_rows = np.searchsorted(nodes, rows)
     m_cols, m_vals = [r.m_cols for r in found], [r.m_vals for r in found]
     if lumped:
         mass = _splice_values(prev.mass, to_active, active_rows, _diagonal(m_cols, m_vals),
@@ -491,7 +531,7 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
         M = _Rows(M.ptr, np.searchsorted(nodes, M.cols).astype(prev.mass.indices.dtype), M.vals)
         mass = _splice(prev.mass, to_active, active_rows, M, len(nodes))
     return _Operator(
-        setup, prev.memo, leaf_keys, node_keys, free_keys,
+        setup, prev.memo, leaf_keys, keys, nodes, free,
         _splice(prev.a_free, to_free, free_rows, fresh, len(free)),
         _splice_values(prev.lift, to_free, free_rows, lift, len(free)),
         _splice_values(prev.diag, to_free, free_rows, diag, len(free)),
@@ -531,8 +571,12 @@ class LinearSystem:
     ``dt*F`` enters only the first step's ``b``, the one ``assemble``
     builds, so a voxel releases its latent heat once.
 
-    ``a`` (M + dt K over the active ``elements``) and ``mass`` are
-    full-node-table views, built on demand by one whole-mesh assembly.
+    ``prescribed`` is the solution's template on the full node table: each
+    pinned node's value, 0 at the unknowns. Every node not in ``free`` is
+    pinned, so ``dirichlet_idx`` and ``dirichlet_val`` are built from the
+    two on demand. ``a`` (M + dt K over the active ``elements``) and
+    ``mass`` are full-node-table views, built on demand by one whole-mesh
+    assembly.
     """
 
     operator: _Operator
@@ -540,12 +584,21 @@ class LinearSystem:
     elements: np.ndarray
     n: int
     b: np.ndarray
-    dirichlet_idx: np.ndarray
-    dirichlet_val: np.ndarray
+    prescribed: np.ndarray
     free: np.ndarray
     a_free: sp.csr_matrix
     lift: np.ndarray
     inv_diag: np.ndarray | None
+
+    @property
+    def dirichlet_idx(self) -> np.ndarray:
+        """Ids of the pinned nodes: every node that is not an unknown."""
+        return np.delete(np.arange(self.n), self.free)
+
+    @property
+    def dirichlet_val(self) -> np.ndarray:
+        """Their prescribed values."""
+        return self.prescribed[self.dirichlet_idx]
 
     @functools.cached_property
     def _whole(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -628,47 +681,46 @@ def assemble(
     if idle:
         raise FemError(f"latent leaf {idle[0]} is not active")
 
-    # Dirichlet set, later assignments winning: ambient padding, bed plate, caller's.
-    active_nodes = mesh.active_node_mask()
-    bed = active_nodes & (coords[:, 2] == 0)
-    pinned = ~active_nodes | bed
-    prescribed = np.where(bed, bcs.t_bed, bcs.t_ambient)
-    extra = np.zeros(m, dtype=bool)
+    extra = {}
     for nid, value in (extra_dirichlet or {}).items():
         nid, value = int(nid), float(value)
         if not 0 <= nid < m:
             raise FemError(f"extra_dirichlet node {nid} outside [0, {m})")
         if not math.isfinite(value):
             raise FemError(f"extra_dirichlet value for node {nid} must be finite, got {value}")
-        extra[nid] = True
-        prescribed[nid] = value
-    pinned |= extra
-    idx = np.flatnonzero(pinned)
+        extra[nid] = value
 
-    nodes = np.flatnonzero(active_nodes)
     conn = leaf_nodes[act]
-    free = nodes[~bed[nodes]]
     op = _carry(previous.operator if previous is not None else None,
-                mesh, act, conn, nodes, free, (mat, lumped_mass, dt, bcs.t_bed))
+                mesh, act, conn, (mat, lumped_mass, dt, bcs.t_bed))
+    nodes, free = op.nodes, op.free
+    # Pinned values, later assignments winning: ambient padding, bed plate, 0 at
+    # the unknowns, the caller's.
+    prescribed = np.full(m, bcs.t_ambient)
+    prescribed[nodes] = bcs.t_bed
+    prescribed[free] = 0.0
     a_free, lift, diag = op.a_free, op.lift, op.diag
-    held = np.flatnonzero(extra & active_nodes)
-    if len(held):
-        a_free, lift, diag, free = _hold(op, conn, free, held, np.where(pinned, prescribed, 0.0))
+    if extra:
+        pins = np.array(sorted(extra))
+        prescribed[pins] = [extra[nid] for nid in pins.tolist()]
+        held = pins[np.isin(pins, nodes)]
+        if len(held):
+            a_free, lift, diag, free = _hold(op, conn, free, held, prescribed)
 
-    # Active leaves are unit voxels: each corner gets an eighth of the source.
-    F = np.zeros(m)
-    if mat.latent_source != 0.0:
+    b = _rhs(op, nodes, m, state.values)
+    if mat.latent_source != 0.0 and latent_leaves:
+        # Active leaves are unit voxels: each corner gets an eighth of the source.
+        F = np.zeros(m)
         for li in latent_leaves:
             F[leaf_nodes[li]] += mat.latent_source / 8.0
-    b = _rhs(op, nodes, m, state.values) + dt * F
+        b = b + dt * F
     return LinearSystem(
         operator=op,
         nodes=nodes,
         elements=conn,
         n=m,
         b=b,
-        dirichlet_idx=idx,
-        dirichlet_val=prescribed[idx],
+        prescribed=prescribed,
         free=free,
         a_free=a_free,
         lift=lift,
@@ -725,13 +777,13 @@ def solve(
     """Solve one step; returns the full nodal vector and PCG iteration count.
 
     PCG runs on the free block that ``assemble`` reduced; Dirichlet nodes
-    carry their prescriptions exactly. ``x0``, when given, is a full nodal
-    vector; PCG starts from its free entries.
+    carry their prescriptions exactly, copied from ``system.prescribed``.
+    ``x0``, when given, is a full nodal vector; PCG starts from its free
+    entries.
     """
     if x0 is not None and len(x0) != system.n:
         raise FemError(f"x0 has {len(x0)} values for a system on {system.n} nodes")
-    x = np.zeros(system.n)
-    x[system.dirichlet_idx] = system.dirichlet_val
+    x = system.prescribed.copy()
     free = system.free
     if len(free) == 0:
         return x, 0
@@ -752,9 +804,12 @@ def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySp
 
     The leaf is marked through ``mesh.classify``, so it must already be at
     the voxel level; ``state`` must follow ``mesh``'s current node table.
+    The mesh never writes a table in place, so a state that holds the
+    table itself follows it; only another array is compared key by key.
     Returns the voxel's leaf index.
     """
-    if not np.array_equal(state.node_keys, mesh.snapshot().node_keys):
+    keys = mesh.snapshot().node_keys
+    if state.node_keys is not keys and not np.array_equal(state.node_keys, keys):
         raise FemError("state is not on the mesh's nodes; transfer the solution after refining")
     (leaf,) = mesh.classify([voxel])
     state.values[mesh.leaf_nodes[leaf]] = bcs.t_deposit
@@ -762,19 +817,18 @@ def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySp
 
 
 def transfer_solution(state: ThermalState, new_mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
-    """Carry nodal values onto a refined mesh, matching old nodes to new ones by key.
+    """Carry nodal values onto a refined mesh: insert the nodes it added, at ambient.
 
-    Values at the state's nodes are copied bit-exactly; new nodes take the
-    ambient value. A split only adds nodes, and only inside inactive
-    leaves, so every new node is either inactive padding that the next
-    solve pins to ambient or a corner of the voxel that ``activate_voxel``
-    overwrites.
+    Values at the state's nodes are copied bit-exactly. The mesh reports
+    which nodes its table gained since the state's (``nodes_added_since``),
+    from the splits themselves when the state follows the table read before
+    them. A split only adds nodes, and only inside inactive leaves, so every
+    new node is either inactive padding that the next solve pins to ambient
+    or a corner of the voxel that ``activate_voxel`` overwrites.
     """
-    new_keys = new_mesh.snapshot().node_keys
-    pos = np.searchsorted(new_keys, state.node_keys)
-    if len(state.values) != len(pos) or not np.array_equal(
-            new_keys.take(pos, mode="clip"), state.node_keys):
+    added = new_mesh.nodes_added_since(state.node_keys)
+    if added is None or len(state.values) != len(state.node_keys):
         raise FemError("state does not match its node keys, or they are not all nodes of the mesh")
-    new_values = np.full(len(new_keys), bcs.t_ambient)
-    new_values[pos] = state.values
-    return ThermalState(mesh=new_mesh, values=new_values, node_keys=new_keys, time=state.time)
+    new_values = np.insert(state.values, added - np.arange(len(added)), bcs.t_ambient)
+    return ThermalState(mesh=new_mesh, values=new_values,
+                        node_keys=new_mesh.snapshot().node_keys, time=state.time)

@@ -17,6 +17,13 @@ padding around the growing part.
 
 Nodes are the distinct leaf corners, keyed by ``(x << 42) | (y << 21) | z``;
 corners are at most ``2**19``, so key order is lexicographic (x, y, z) order.
+The node table (keys, coordinates, each leaf's 8 node ids) is built by one
+sort of all leaf corners the first time it is read. From then on each split
+grows it in place: the children's corners that are new are inserted at their
+key positions, older node ids move up by the count of insertions below them,
+and the table records which ids the splits since it was last read added, so
+a field or operator on that older table can follow by the same shift. A mesh
+whose table was never read (a ``mesh-info`` replay) builds it once, at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +70,36 @@ def morton_encode(coords, max_level: int) -> np.ndarray:
     return key
 
 
+def _pack(corners: np.ndarray) -> np.ndarray:
+    """Node keys of integer lattice points (..., 3)."""
+    return (corners[..., 0] << 2 * _NODE_BITS) | (corners[..., 1] << _NODE_BITS) | corners[..., 2]
+
+
+def _unpack(keys: np.ndarray) -> np.ndarray:
+    """Lattice points (n, 3) of node keys."""
+    low = (1 << _NODE_BITS) - 1
+    return np.column_stack([keys >> 2 * _NODE_BITS, (keys >> _NODE_BITS) & low, keys & low])
+
+
+def _corners(anchors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(n, 8, 3) corners of the cubes at ``anchors`` with edges ``sizes``, x fastest."""
+    return anchors[:, None, :] + CHILD_OFFSETS[None, :, :] * sizes[:, None, None]
+
+
+class _NodeTable(NamedTuple):
+    """The node table of the current mesh version, and how it grew.
+
+    ``added`` holds the sorted ids of the nodes that the older table
+    ``since`` lacks; for a table built from scratch ``since`` is ``keys``.
+    """
+
+    keys: np.ndarray
+    coords: np.ndarray
+    leaf_nodes: np.ndarray
+    since: np.ndarray
+    added: np.ndarray
+
+
 class MeshSnapshot(NamedTuple):
     """Immutable view of the mesh geometry and its node table at one version."""
 
@@ -100,7 +137,10 @@ class OctreeMesh:
         self.levels = np.full(len(anchors), base_level, dtype=np.int64)
         self.keys = keys[order]
         self.active = np.zeros(len(anchors), dtype=bool)
-        self._node_cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._node_cache: _NodeTable | None = None
+        # whether the table was read since the last split; the next split then
+        # starts a new delta from it
+        self._node_read = False
 
     @classmethod
     def from_grid(cls, grid, base_level: int = 2, max_level: int | None = None) -> "OctreeMesh":
@@ -160,7 +200,8 @@ class OctreeMesh:
         self.active = active
         self.keys = morton_encode(anchors, self.max_level)
         self.version += 1
-        self._node_cache = None
+        if self._node_cache is not None:
+            self._node_cache = self._grown(self._node_cache, parent, is_child)
 
     def _require(self, cell, level: int) -> bool:
         """Split leaves until the level-``level`` cell holding ``cell`` exists.
@@ -230,47 +271,92 @@ class OctreeMesh:
 
     # --- nodes --------------------------------------------------------------
 
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(node_keys, node_coords, leaf_nodes), rebuilt once per mesh version."""
-        if self._node_cache is None or self._node_cache[0] != self.version:
-            sizes = self.leaf_sizes()
-            corners = (
-                self.anchors[:, None, :] + CHILD_OFFSETS[None, :, :] * sizes[:, None, None]
-            ).reshape(-1, 3)
-            x, y, z = corners.T
-            keys = (x << 2 * _NODE_BITS) | (y << _NODE_BITS) | z
-            node_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            self._node_cache = (self.version, node_keys, corners[first], inverse.reshape(-1, 8))
-        return self._node_cache[1:]
+    def _nodes(self) -> _NodeTable:
+        """The node table of this mesh version; built from scratch only when none is kept."""
+        if self._node_cache is None:
+            self._node_cache = self._build_nodes()
+        self._node_read = True
+        return self._node_cache
+
+    def _build_nodes(self) -> _NodeTable:
+        """The node table by one sort of every leaf corner."""
+        corners = _corners(self.anchors, self.leaf_sizes()).reshape(-1, 3)
+        keys, first, inverse = np.unique(_pack(corners), return_index=True, return_inverse=True)
+        return _NodeTable(keys, corners[first], inverse.reshape(-1, 8), keys,
+                          np.empty(0, dtype=np.intp))
+
+    def _grown(self, table: _NodeTable, parent: np.ndarray, is_child: np.ndarray) -> _NodeTable:
+        """``table`` after the split that made leaf i of the new arrays from old leaf ``parent[i]``.
+
+        New nodes are the children's corners not in the table yet; every
+        older node id moves up by the count of new nodes inserted below it.
+        Only the children's rows of ``leaf_nodes`` are looked up.
+        """
+        kids = np.flatnonzero(is_child)
+        corners = _pack(_corners(self.anchors[kids], self.root_extent >> self.levels[kids]))
+        cand, inverse = np.unique(corners.ravel(), return_inverse=True)
+        pos = np.searchsorted(table.keys, cand)
+        new = table.keys.take(pos, mode="clip") != cand
+        at = pos[new]
+        keys = np.insert(table.keys, at, cand[new])
+        added = at + np.arange(len(at))
+        old_to_new = np.delete(np.arange(len(keys)), added)
+        leaf_nodes = old_to_new.take(table.leaf_nodes.take(parent, axis=0))
+        leaf_nodes[kids] = np.searchsorted(keys, cand)[inverse].reshape(-1, 8)
+        if self._node_read:
+            since = table.keys
+        else:  # no one has read the table since the last split: extend its delta
+            since, added = table.since, np.union1d(old_to_new[table.added], added)
+        self._node_read = False
+        return _NodeTable(keys, _unpack(keys), leaf_nodes, since, added)
+
+    def nodes_added_since(self, node_keys: np.ndarray) -> np.ndarray | None:
+        """Sorted ids of the current table's nodes that the older table ``node_keys`` lacks.
+
+        Splits only add nodes, so each earlier table of this mesh is a subset
+        of the current one, and an earlier node's id moves up by the count
+        of added ids at or below it. For the table read before the latest
+        splits, the answer is the one they recorded; any other table is
+        matched by key. None when ``node_keys`` holds a key the mesh lacks.
+        """
+        table = self._nodes()
+        if node_keys is table.since:
+            return table.added
+        if node_keys is table.keys:
+            return np.empty(0, dtype=np.intp)
+        pos = np.searchsorted(table.keys, node_keys)
+        if not np.array_equal(table.keys.take(pos, mode="clip"), node_keys):
+            return None
+        return np.delete(np.arange(len(table.keys)), pos)
 
     @property
     def node_coords(self) -> np.ndarray:
         """(m, 3) unique corner nodes of all leaves, in node-key order."""
-        return self._nodes()[1]
+        return self._nodes().coords
 
     @property
     def leaf_nodes(self) -> np.ndarray:
         """(n, 8) node indices per leaf, x-fastest corner order."""
-        return self._nodes()[2]
+        return self._nodes().leaf_nodes
 
     def active_node_mask(self) -> np.ndarray:
         """(m,) True at every corner node of an active leaf."""
-        node_keys, _, leaf_nodes = self._nodes()
-        mask = np.zeros(len(node_keys), dtype=bool)
-        mask[leaf_nodes[self.active]] = True
+        table = self._nodes()
+        mask = np.zeros(len(table.keys), dtype=bool)
+        mask[table.leaf_nodes[self.active]] = True
         return mask
 
     # --- snapshots, checks --------------------------------------------------
 
     def snapshot(self) -> MeshSnapshot:
-        node_keys, coords, leaf_nodes = self._nodes()
+        table = self._nodes()
         return MeshSnapshot(
             max_level=self.max_level,
             anchors=self.anchors,
             levels=self.levels,
-            node_keys=node_keys,
-            node_coords=coords,
-            leaf_nodes=leaf_nodes,
+            node_keys=table.keys,
+            node_coords=table.coords,
+            leaf_nodes=table.leaf_nodes,
         )
 
     def dump(self) -> str:

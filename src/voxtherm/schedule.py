@@ -278,7 +278,7 @@ def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
                 if float(d @ d) < radius * radius:
                     if not grid.in_bounds(VoxelId(i, j, k)):
                         raise ScheduleError(
-                            f"sphere r={radius} at {tuple(ctr)} exceeds grid {grid.dims}"
+                            f"sphere r={radius} at {tuple(ctr.tolist())} exceeds grid {grid.dims}"
                         )
                     cells.setdefault(k, {}).setdefault(j, []).append(i)
     return cells
@@ -367,15 +367,20 @@ def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:
     lines = text.splitlines()
     path = source
     if not lines or not lines[0].startswith("grid "):
-        raise ScheduleError(f"{path}: missing 'grid' header line")
+        raise ScheduleError(f"{path}:1: missing 'grid' header line")
     parts = lines[0].split()
     if len(parts) != 8:
-        raise ScheduleError(f"{path}: malformed grid header {lines[0]!r}")
-    grid = VoxelGrid(
-        dims=(int(parts[1]), int(parts[2]), int(parts[3])),
-        voxel_size=float(parts[4]),
-        origin=(float(parts[5]), float(parts[6]), float(parts[7])),
-    )
+        raise ScheduleError(f"{path}:1: malformed grid header {lines[0]!r}")
+    try:
+        grid = VoxelGrid(
+            dims=(int(parts[1]), int(parts[2]), int(parts[3])),
+            voxel_size=float(parts[4]),
+            origin=(float(parts[5]), float(parts[6]), float(parts[7])),
+        )
+    except ScheduleError as err:  # a number the grid rejects
+        raise ScheduleError(f"{path}:1: {err}") from None
+    except ValueError:  # a field that is not a number
+        raise ScheduleError(f"{path}:1: malformed grid header {lines[0]!r}") from None
     order: list[VoxelId] = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, pipelines, stage-named errors."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import voxtherm
 from voxtherm.cli import main
 from voxtherm.config import save_config
 from voxtherm.driver import SimConfig
@@ -89,6 +94,14 @@ def test_gen_shape_errors_exit_one(tmp_path, capsys):
     assert "requires --radius" in capsys.readouterr().err
 
 
+def test_sphere_outside_the_grid_names_plain_numbers(tmp_path, capsys):
+    assert main(["gen", "--shape", "sphere", "--radius", "90",
+                 "--grid", "8", "8", "8", "-o", str(tmp_path / "s.sched")]) == 1
+    err = capsys.readouterr().err
+    assert "sphere r=90.0 at (4.0, 4.0, 4.0) exceeds grid (8, 8, 8)" in err
+    assert "np.float64" not in err
+
+
 @pytest.mark.parametrize("geometry", [
     ["--radius", "nan"],
     ["--radius", "inf"],
@@ -118,6 +131,18 @@ def test_non_finite_grid_exits_one(tmp_path, capsys):
     assert main(["mesh-info", str(sched)]) == 1
     err = capsys.readouterr().err
     assert "schedule loading failed" in err and "origin must be finite" in err
+    assert f"{sched}:1:" in err
+
+
+def test_non_integer_grid_dimension_exits_one(tmp_path, capsys):
+    sched = tmp_path / "bad.sched"
+    sched.write_text("grid 4 x 4 1.0 0 0 0\n0 0 0\n")
+    for command in (["mesh-info", str(sched)],
+                    ["simulate", "--schedule", str(sched), "-o", str(tmp_path / "out")]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert f"schedule loading failed: {sched}:1: malformed grid header" in err
+        assert "ValueError" not in err
 
 
 def test_simulate_end_to_end(tmp_path, capsys):
@@ -186,3 +211,40 @@ def test_mesh_info_summary_and_dump(tmp_path, capsys):
     leaf_lines = [ln for ln in dump_out.splitlines() if len(ln.split()) == 6
                   and ln.split()[0].isdigit()]
     assert len(leaf_lines) == leaves
+
+
+# A solve with more free unknowns than OpenBLAS's 10,000-element threshold for
+# splitting a dot product, run after the CLI's imports: a 28 x 28 x 14 block on
+# the bed (11,774 free unknowns) with a seeded random field.
+BLAS_PROBE = """
+import hashlib
+import voxtherm.cli
+import numpy as np
+from voxtherm.fem import BoundarySpec, MaterialParams, assemble, initial_state, solve
+from voxtherm.octree import OctreeMesh
+
+mesh = OctreeMesh(max_level=5, base_level=5)
+mesh.classify(np.stack(np.meshgrid(*map(np.arange, (28, 28, 14)), indexing="ij"), -1)
+              .reshape(-1, 3))
+state = initial_state(mesh, BoundarySpec())
+state.values = np.random.default_rng(6).random(len(state.values)) + 1.0
+system = assemble(mesh, state, MaterialParams(), BoundarySpec(), 1.0)
+x, iters = solve(system, x0=state.values)
+print(len(system.free), iters, hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_cli_solves_are_independent_of_the_blas_thread_count():
+    """Through the CLI's import path, a solve gives the same bytes with no
+    thread variable set as with one BLAS thread."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    env["PYTHONPATH"] = str(Path(voxtherm.__file__).resolve().parent.parent)
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert int(outputs[0][0]) == 11774 and int(outputs[0][1]) > 0
+    assert outputs[0] == outputs[1]

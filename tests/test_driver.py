@@ -1,5 +1,6 @@
 """Driver orchestration: deposition loop, records, snapshots, sparsity sweeps."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -185,6 +186,48 @@ def test_mode_matrix_outputs_are_pinned_bytewise(mode, lumped):
     digest, iters = MODE_PINS[(mode, lumped)]
     assert hashlib.sha256(state.values.tobytes()).hexdigest() == digest
     assert [r.solver_iters for r in report.records] == iters
+
+
+def test_bed_sphere_end_to_end_bytes_hold_with_and_without_the_table_delta(monkeypatch):
+    """A bed-supported sphere (r=6 in 16^3, 912 voxels) runs PCG, keeps every
+    active temperature within [t_bed, t_deposit], and gives the same bytes on
+    a second run and on a run whose mesh drops its node table after every
+    refine, so each refine's table is rebuilt from scratch instead of grown
+    and the field and the carried operator follow it by key."""
+    schedule = gen_test_schedule("sphere", VoxelGrid(dims=(16, 16, 16)), radius=6,
+                                 center=(8, 8, 6))
+    assert len(schedule.order) == 912
+    cfg = SimConfig()
+    refine, build = OctreeMesh.refine_to_voxel, OctreeMesh._build_nodes
+    builds = []
+
+    def counted_build(mesh):
+        builds.append(mesh)
+        return build(mesh)
+
+    def forgetful_refine(mesh, voxel):
+        changed = refine(mesh, voxel)
+        mesh._node_cache = None
+        return changed
+
+    monkeypatch.setattr(OctreeMesh, "_build_nodes", counted_build)
+    runs = [run(schedule, cfg) for _ in range(2)]
+    assert len(builds) == 2  # one per print, for its initial state
+    monkeypatch.setattr(OctreeMesh, "refine_to_voxel", forgetful_refine)
+    runs.append(run(schedule, cfg))
+    assert len(builds) > 2 + 100
+
+    state, report = runs[0]
+    assert sum(r.solver_iters for r in report.records) > 0
+    lo, hi = cfg.bcs.t_bed, cfg.bcs.t_deposit
+    assert lo <= report.t_active_min and report.t_active_max <= hi
+    assert lo <= report.final_min and report.final_max <= hi
+    for other_state, other in runs[1:]:
+        assert other_state.values.tobytes() == state.values.tobytes()
+        assert [dataclasses.astuple(r)[:-1] for r in other.records] == [
+            dataclasses.astuple(r)[:-1] for r in report.records]
+        assert (other.t_active_min, other.t_active_max, other.checkpoints) == (
+            report.t_active_min, report.t_active_max, report.checkpoints)
 
 
 def test_plain_deposits_splice_memo_rows_without_slicing(monkeypatch):

@@ -613,6 +613,39 @@ def test_assemble_rejects_a_previous_system_it_cannot_carry():
         assemble(smaller, initial_state(smaller, bcs), mat, bcs, dt=0.5, previous=system)
 
 
+@pytest.mark.parametrize("lumped", [True, False])
+def test_previous_system_of_another_mesh_is_carried_by_key(lumped):
+    """A system assembled on another mesh, refined where this one is not, is
+    carried by matching its active nodes' keys: its node table has keys this
+    mesh lacks, so no id shift maps it. The next deposit's system equals a
+    fresh assembly bit for bit."""
+    bcs, mat = BoundarySpec(), MaterialParams(kappa=0.2)
+    first, voxel = [(1, 1, 0), (2, 1, 0)], (2, 2, 0)
+    meshes = [OctreeMesh(max_level=3, base_level=1) for _ in range(2)]
+    meshes[0].refine_to_voxel((7, 7, 7))  # only the first mesh is refined up there
+    systems = []
+    for mesh in meshes:
+        state = initial_state(mesh, bcs)
+        for v in first:
+            if mesh.refine_to_voxel(v):
+                state = transfer_solution(state, mesh, bcs)
+            activate_voxel(mesh, state, v, bcs)
+        systems.append(assemble(mesh, state, mat, bcs, 0.5, lumped_mass=lumped))
+    mesh = meshes[1]
+    assert mesh.nodes_added_since(systems[0].operator.table) is None
+    if mesh.refine_to_voxel(voxel):
+        state = transfer_solution(state, mesh, bcs)
+    activate_voxel(mesh, state, voxel, bcs)
+    fresh = assemble(mesh, state, mat, bcs, 0.5, lumped_mass=lumped)
+    carried = assemble(mesh, state, mat, bcs, 0.5, lumped_mass=lumped, previous=systems[0])
+    assert_same_bits(carried.a_free, fresh.a_free)
+    assert carried.lift.tobytes() == fresh.lift.tobytes()
+    assert carried.inv_diag.tobytes() == fresh.inv_diag.tobytes()
+    assert carried.b.tobytes() == fresh.b.tobytes()
+    np.testing.assert_array_equal(carried.free, fresh.free)
+    np.testing.assert_array_equal(carried.nodes, fresh.nodes)
+
+
 # --- physics sanity -------------------------------------------------------------
 
 

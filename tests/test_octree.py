@@ -366,6 +366,79 @@ def test_node_table_matches_row_sort_oracle_on_random_sequences():
             assert np.all(keys[1:] > keys[:-1])
 
 
+def test_grown_node_table_equals_a_rebuild_after_every_refine():
+    """With the table read after every refine, each split grows it in place;
+    keys, coordinates and leaf rows equal a from-scratch build, dtypes and
+    shapes included, and the ids reported as added are exactly the keys the
+    previous table lacked."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        max_level = int(rng.integers(1, 6))
+        mesh = OctreeMesh(max_level=max_level, base_level=int(rng.integers(0, max_level + 1)))
+        before = mesh.snapshot()
+        for _ in range(int(rng.integers(1, 12))):
+            v = tuple(int(c) for c in rng.integers(0, 1 << max_level, size=3))
+            mesh.refine_to_voxel(v)
+            if rng.random() < 0.5:
+                mesh.classify([v])
+            after = mesh.snapshot()
+            fresh = mesh._build_nodes()
+            for grown, built in [(after.node_keys, fresh.keys), (after.node_coords, fresh.coords),
+                                 (after.leaf_nodes, fresh.leaf_nodes)]:
+                assert grown.dtype == built.dtype and grown.shape == built.shape
+                np.testing.assert_array_equal(grown, built)
+            added = mesh.nodes_added_since(before.node_keys)
+            np.testing.assert_array_equal(
+                added, np.flatnonzero(~np.isin(after.node_keys, before.node_keys)))
+            # unchanged arrays of the earlier table: it was never written in place
+            np.testing.assert_array_equal(before.node_keys, after.node_keys[
+                np.delete(np.arange(len(after.node_keys)), added)])
+            before = after
+
+
+def test_nodes_added_since_composes_unread_splits_and_matches_others_by_key():
+    mesh = OctreeMesh(max_level=4, base_level=1)
+    first = mesh.snapshot().node_keys
+    mesh.refine_to_voxel((0, 0, 0))  # several splits, no read in between
+    mesh.refine_to_voxel((15, 15, 15))
+    keys = mesh.snapshot().node_keys
+    np.testing.assert_array_equal(mesh.nodes_added_since(first),
+                                  np.flatnonzero(~np.isin(keys, first)))
+    assert len(mesh.nodes_added_since(keys)) == 0
+    np.testing.assert_array_equal(mesh.nodes_added_since(first.copy()),
+                                  np.flatnonzero(~np.isin(keys, first)))
+    other = OctreeMesh(max_level=4, base_level=1)
+    other.refine_to_voxel((7, 7, 7))
+    assert mesh.nodes_added_since(other.snapshot().node_keys) is None
+
+
+def test_driver_print_builds_the_node_table_once(monkeypatch):
+    """The whole-mesh sort runs for the initial state only; every refine after
+    it grows the table. A mesh-info style replay builds it once, at the end."""
+    from voxtherm.driver import SimConfig, run
+    from voxtherm.schedule import VoxelGrid, gen_test_schedule
+
+    build = OctreeMesh._build_nodes
+    builds = []
+
+    def counted(mesh):
+        builds.append(mesh.version)
+        return build(mesh)
+
+    monkeypatch.setattr(OctreeMesh, "_build_nodes", counted)
+    schedule = gen_test_schedule("sphere", VoxelGrid(dims=(8, 8, 8)), radius=3, center=(4, 4, 3))
+    _, report = run(schedule, SimConfig(base_level=1))
+    assert report.records[0].leaves < report.records[-1].leaves  # it refines
+    assert builds == [0]
+    builds.clear()
+    mesh = OctreeMesh.from_grid(schedule.grid, base_level=1)
+    for v in schedule.order:
+        mesh.refine_to_voxel(v)
+    mesh.classify(schedule.order)
+    assert mesh.version > 0 and not builds
+    assert len(mesh.node_coords) == len(build(mesh).keys) and builds == [mesh.version]
+
+
 def test_node_keys_hold_the_deepest_lattice():
     """Unit voxels at both corners of a max_level-19 root: every key field is full."""
     top = (1 << 19) - 1

@@ -325,6 +325,19 @@ def test_load_schedule_rejects_malformed(tmp_path):
         load_schedule(p)
 
 
+@pytest.mark.parametrize("header,message", [
+    ("grid 4 x 4 1.0 0 0 0", "malformed grid header 'grid 4 x 4 1.0 0 0 0'"),
+    ("grid 4 4 4 1.0 nan 0 0", "origin must be finite, got (nan, 0.0, 0.0)"),
+    ("grid 4 4 0 1.0 0 0 0", "grid dims must be positive integers, got (4, 4, 0)"),
+])
+def test_header_errors_name_the_file_and_line(tmp_path, header, message):
+    p = tmp_path / "bad.sched"
+    p.write_text(header + "\n0 0 0\n")
+    with pytest.raises(ScheduleError) as err:
+        load_schedule(p)
+    assert str(err.value) == f"{p}:1: {message}"
+
+
 def test_grid_validation():
     with pytest.raises(ScheduleError):
         VoxelGrid(dims=(0, 2, 2))
