@@ -389,11 +389,11 @@ class _Operator:
     z > 0), ``lift`` its bed lift ``(A @ x_bed)[free]`` and ``diag`` its
     diagonal; ``mass`` is M as its matvec needs it: the lumped diagonal over
     the active nodes, or consistent CSR rows over them. Its active leaves
-    are held by Morton key, its nodes by id in the node table ``table``; a
-    refine only inserts nodes, so those ids follow it by one cumulative
-    shift and the operator is carried from deposit to deposit. ``memo``
-    maps a node's stencil key to its ``_StencilRow``; it is shared along the
-    carried chain.
+    are held by Morton key, its nodes by id in the node table ``table``;
+    after a refine those ids move to the new table by key
+    (``OctreeMesh.node_ids``), so the operator is carried from deposit to
+    deposit. ``memo`` maps a node's stencil key to its ``_StencilRow``; it
+    is shared along the carried chain.
     """
 
     setup: tuple  # (material, lumped_mass, dt, t_bed) it was built for
@@ -459,30 +459,14 @@ def _merge(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return merged, old_to_new, np.searchsorted(merged, rows)
 
 
-def _follow(prev: _Operator, mesh: OctreeMesh, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``prev``'s active and free node ids on ``mesh``'s node table ``keys``.
-
-    The nodes a refine added push every later id up by one each. A system
-    built on another mesh is matched by key.
-    """
-    added = mesh.nodes_added_since(prev.table)
-    if added is None:
-        return (np.searchsorted(keys, prev.table[prev.nodes]),
-                np.searchsorted(keys, prev.table[prev.free]))
-    if len(added) == 0:
-        return prev.nodes, prev.free
-    at = added - np.arange(len(added))  # each added node's place among the old ids
-    return (prev.nodes + np.searchsorted(at, prev.nodes, side="right"),
-            prev.free + np.searchsorted(at, prev.free, side="right"))
-
-
 def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.ndarray,
            setup: tuple) -> _Operator:
     """The operator over ``act``; from ``prev`` only the new leaves' corner rows change.
 
-    ``conn`` holds the active leaves' node ids. ``prev``'s ids follow the
-    nodes refinement added, and the new leaves' corners join the active and
-    free ids, so no id is searched for in a whole key array.
+    ``conn`` holds the active leaves' node ids. ``prev``'s ids move to the
+    current node table by key, and the new leaves' corners join the active
+    and free ids. Every active leaf of ``prev`` is still active, so each of
+    its nodes is a node of the current table.
     """
     _, lumped, _, t_bed = setup
     keys, coords = mesh.snapshot().node_keys, mesh.node_coords
@@ -498,7 +482,9 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
         raise FemError("previous system covers a leaf that is no longer active")
     is_new = np.ones(len(act), dtype=bool)
     is_new[pos] = False
-    nodes, free = _follow(prev, mesh, keys)
+    nodes, free = prev.nodes, prev.free
+    if prev.table is not keys:
+        nodes, free = mesh.node_ids(prev.table[nodes]), mesh.node_ids(prev.table[free])
     if not is_new.any():
         return replace(prev, table=keys, nodes=nodes, free=free)
 
@@ -677,9 +663,12 @@ def assemble(
             f"active leaf {int(coarse[0])} is coarser than the voxel level; "
             "the solve needs a conforming active mesh"
         )
-    idle = [int(li) for li in latent_leaves if not mesh.active[li]]
-    if idle:
-        raise FemError(f"latent leaf {idle[0]} is not active")
+    for li in latent_leaves:
+        li = int(li)
+        if not 0 <= li < len(mesh):
+            raise FemError(f"latent leaf {li} outside [0, {len(mesh)})")
+        if not mesh.active[li]:
+            raise FemError(f"latent leaf {li} is not active")
 
     extra = {}
     for nid, value in (extra_dirichlet or {}).items():
@@ -817,18 +806,18 @@ def activate_voxel(mesh: OctreeMesh, state: ThermalState, voxel, bcs: BoundarySp
 
 
 def transfer_solution(state: ThermalState, new_mesh: OctreeMesh, bcs: BoundarySpec) -> ThermalState:
-    """Carry nodal values onto a refined mesh: insert the nodes it added, at ambient.
+    """Carry nodal values onto a refined mesh: the nodes it added start at ambient.
 
-    Values at the state's nodes are copied bit-exactly. The mesh reports
-    which nodes its table gained since the state's (``nodes_added_since``),
-    from the splits themselves when the state follows the table read before
-    them. A split only adds nodes, and only inside inactive leaves, so every
-    new node is either inactive padding that the next solve pins to ambient
-    or a corner of the voxel that ``activate_voxel`` overwrites.
+    Each value is copied bit-exactly to its node's id in the mesh's current
+    table, found by key (``OctreeMesh.node_ids``). A split only adds nodes,
+    and only inside inactive leaves, so every new node is either inactive
+    padding that the next solve pins to ambient or a corner of the voxel
+    that ``activate_voxel`` overwrites.
     """
-    added = new_mesh.nodes_added_since(state.node_keys)
-    if added is None or len(state.values) != len(state.node_keys):
+    ids = new_mesh.node_ids(state.node_keys)
+    if ids is None or len(state.values) != len(state.node_keys):
         raise FemError("state does not match its node keys, or they are not all nodes of the mesh")
-    new_values = np.insert(state.values, added - np.arange(len(added)), bcs.t_ambient)
-    return ThermalState(mesh=new_mesh, values=new_values,
-                        node_keys=new_mesh.snapshot().node_keys, time=state.time)
+    keys = new_mesh.snapshot().node_keys
+    new_values = np.full(len(keys), bcs.t_ambient)
+    new_values[ids] = state.values
+    return ThermalState(mesh=new_mesh, values=new_values, node_keys=keys, time=state.time)

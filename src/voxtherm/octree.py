@@ -20,10 +20,10 @@ corners are at most ``2**19``, so key order is lexicographic (x, y, z) order.
 The node table (keys, coordinates, each leaf's 8 node ids) is built by one
 sort of all leaf corners the first time it is read. From then on each split
 grows it in place: the children's corners that are new are inserted at their
-key positions, older node ids move up by the count of insertions below them,
-and the table records which ids the splits since it was last read added, so
-a field or operator on that older table can follow by the same shift. A mesh
-whose table was never read (a ``mesh-info`` replay) builds it once, at the end.
+key positions and older node ids move up by the count of insertions below
+them. A field or operator on an older table moves to the current one by key
+(``node_ids``). A mesh whose table was never read (a ``mesh-info`` replay)
+builds it once, at the end.
 """
 
 from __future__ import annotations
@@ -87,17 +87,11 @@ def _corners(anchors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class _NodeTable(NamedTuple):
-    """The node table of the current mesh version, and how it grew.
-
-    ``added`` holds the sorted ids of the nodes that the older table
-    ``since`` lacks; for a table built from scratch ``since`` is ``keys``.
-    """
+    """The node table of the current mesh version."""
 
     keys: np.ndarray
     coords: np.ndarray
     leaf_nodes: np.ndarray
-    since: np.ndarray
-    added: np.ndarray
 
 
 class MeshSnapshot(NamedTuple):
@@ -138,9 +132,6 @@ class OctreeMesh:
         self.keys = keys[order]
         self.active = np.zeros(len(anchors), dtype=bool)
         self._node_cache: _NodeTable | None = None
-        # whether the table was read since the last split; the next split then
-        # starts a new delta from it
-        self._node_read = False
 
     @classmethod
     def from_grid(cls, grid, base_level: int = 2, max_level: int | None = None) -> "OctreeMesh":
@@ -275,15 +266,13 @@ class OctreeMesh:
         """The node table of this mesh version; built from scratch only when none is kept."""
         if self._node_cache is None:
             self._node_cache = self._build_nodes()
-        self._node_read = True
         return self._node_cache
 
     def _build_nodes(self) -> _NodeTable:
         """The node table by one sort of every leaf corner."""
         corners = _corners(self.anchors, self.leaf_sizes()).reshape(-1, 3)
         keys, first, inverse = np.unique(_pack(corners), return_index=True, return_inverse=True)
-        return _NodeTable(keys, corners[first], inverse.reshape(-1, 8), keys,
-                          np.empty(0, dtype=np.intp))
+        return _NodeTable(keys, corners[first], inverse.reshape(-1, 8))
 
     def _grown(self, table: _NodeTable, parent: np.ndarray, is_child: np.ndarray) -> _NodeTable:
         """``table`` after the split that made leaf i of the new arrays from old leaf ``parent[i]``.
@@ -299,35 +288,22 @@ class OctreeMesh:
         new = table.keys.take(pos, mode="clip") != cand
         at = pos[new]
         keys = np.insert(table.keys, at, cand[new])
-        added = at + np.arange(len(at))
-        old_to_new = np.delete(np.arange(len(keys)), added)
+        old_to_new = np.delete(np.arange(len(keys)), at + np.arange(len(at)))
         leaf_nodes = old_to_new.take(table.leaf_nodes.take(parent, axis=0))
         leaf_nodes[kids] = np.searchsorted(keys, cand)[inverse].reshape(-1, 8)
-        if self._node_read:
-            since = table.keys
-        else:  # no one has read the table since the last split: extend its delta
-            since, added = table.since, np.union1d(old_to_new[table.added], added)
-        self._node_read = False
-        return _NodeTable(keys, _unpack(keys), leaf_nodes, since, added)
+        return _NodeTable(keys, _unpack(keys), leaf_nodes)
 
-    def nodes_added_since(self, node_keys: np.ndarray) -> np.ndarray | None:
-        """Sorted ids of the current table's nodes that the older table ``node_keys`` lacks.
+    def node_ids(self, node_keys: np.ndarray) -> np.ndarray | None:
+        """Ids in the current node table of the nodes keyed ``node_keys``.
 
-        Splits only add nodes, so each earlier table of this mesh is a subset
-        of the current one, and an earlier node's id moves up by the count
-        of added ids at or below it. For the table read before the latest
-        splits, the answer is the one they recorded; any other table is
-        matched by key. None when ``node_keys`` holds a key the mesh lacks.
+        Splits only add nodes, so every node of an earlier table of this mesh
+        is a node of the current one. None when a key is not a node.
         """
-        table = self._nodes()
-        if node_keys is table.since:
-            return table.added
-        if node_keys is table.keys:
-            return np.empty(0, dtype=np.intp)
-        pos = np.searchsorted(table.keys, node_keys)
-        if not np.array_equal(table.keys.take(pos, mode="clip"), node_keys):
+        keys = self._nodes().keys
+        ids = np.searchsorted(keys, node_keys)
+        if not np.array_equal(keys.take(ids, mode="clip"), node_keys):
             return None
-        return np.delete(np.arange(len(table.keys)), pos)
+        return ids
 
     @property
     def node_coords(self) -> np.ndarray:

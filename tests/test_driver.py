@@ -188,12 +188,12 @@ def test_mode_matrix_outputs_are_pinned_bytewise(mode, lumped):
     assert [r.solver_iters for r in report.records] == iters
 
 
-def test_bed_sphere_end_to_end_bytes_hold_with_and_without_the_table_delta(monkeypatch):
+def test_bed_sphere_end_to_end_bytes_hold_with_a_grown_and_a_rebuilt_node_table(monkeypatch):
     """A bed-supported sphere (r=6 in 16^3, 912 voxels) runs PCG, keeps every
     active temperature within [t_bed, t_deposit], and gives the same bytes on
-    a second run and on a run whose mesh drops its node table after every
-    refine, so each refine's table is rebuilt from scratch instead of grown
-    and the field and the carried operator follow it by key."""
+    a second run, where each refine grows the node table in place, and on a
+    run whose mesh drops its node table after every refine, so each
+    refine's table is rebuilt from scratch by one sort of all leaf corners."""
     schedule = gen_test_schedule("sphere", VoxelGrid(dims=(16, 16, 16)), radius=6,
                                  center=(8, 8, 6))
     assert len(schedule.order) == 912

@@ -377,6 +377,20 @@ def test_assemble_rejects_bad_extra_dirichlet():
             assemble(mesh, state, MaterialParams(), bcs, dt=1.0, extra_dirichlet=extra)
 
 
+def test_assemble_rejects_latent_leaf_out_of_range():
+    """-1 would wrap to the last leaf, which is active here and would take the load."""
+    mesh = column_mesh()
+    mesh.classify([(3, 3, 3)])
+    assert mesh.active[-1]
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    n = len(mesh)
+    for leaf in (-1, n):
+        with pytest.raises(FemError, match=rf"latent leaf {leaf} outside \[0, {n}\)"):
+            assemble(mesh, state, MaterialParams(latent_source=1.0), bcs, dt=1.0,
+                     latent_leaves=(leaf,))
+
+
 def test_assemble_rejects_inactive_latent_leaf():
     mesh = column_mesh()
     bcs = BoundarySpec()
@@ -632,7 +646,7 @@ def test_previous_system_of_another_mesh_is_carried_by_key(lumped):
             activate_voxel(mesh, state, v, bcs)
         systems.append(assemble(mesh, state, mat, bcs, 0.5, lumped_mass=lumped))
     mesh = meshes[1]
-    assert mesh.nodes_added_since(systems[0].operator.table) is None
+    assert mesh.node_ids(systems[0].operator.table) is None
     if mesh.refine_to_voxel(voxel):
         state = transfer_solution(state, mesh, bcs)
     activate_voxel(mesh, state, voxel, bcs)

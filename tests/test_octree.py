@@ -369,8 +369,8 @@ def test_node_table_matches_row_sort_oracle_on_random_sequences():
 def test_grown_node_table_equals_a_rebuild_after_every_refine():
     """With the table read after every refine, each split grows it in place;
     keys, coordinates and leaf rows equal a from-scratch build, dtypes and
-    shapes included, and the ids reported as added are exactly the keys the
-    previous table lacked."""
+    shapes included, and every node of the previous table keeps its key at
+    the id ``node_ids`` gives it."""
     rng = np.random.default_rng(20261019)
     for _ in range(40):
         max_level = int(rng.integers(1, 6))
@@ -387,29 +387,28 @@ def test_grown_node_table_equals_a_rebuild_after_every_refine():
                                  (after.leaf_nodes, fresh.leaf_nodes)]:
                 assert grown.dtype == built.dtype and grown.shape == built.shape
                 np.testing.assert_array_equal(grown, built)
-            added = mesh.nodes_added_since(before.node_keys)
+            # the earlier table is unchanged, never written in place, and its
+            # keys are exactly the current ones outside the nodes the refine added
+            ids = mesh.node_ids(before.node_keys)
+            np.testing.assert_array_equal(after.node_keys[ids], before.node_keys)
             np.testing.assert_array_equal(
-                added, np.flatnonzero(~np.isin(after.node_keys, before.node_keys)))
-            # unchanged arrays of the earlier table: it was never written in place
-            np.testing.assert_array_equal(before.node_keys, after.node_keys[
-                np.delete(np.arange(len(after.node_keys)), added)])
+                np.delete(np.arange(len(after.node_keys)), ids),
+                np.flatnonzero(~np.isin(after.node_keys, before.node_keys)))
             before = after
 
 
-def test_nodes_added_since_composes_unread_splits_and_matches_others_by_key():
+def test_node_ids_map_older_tables_by_key_and_reject_other_meshes():
     mesh = OctreeMesh(max_level=4, base_level=1)
     first = mesh.snapshot().node_keys
     mesh.refine_to_voxel((0, 0, 0))  # several splits, no read in between
     mesh.refine_to_voxel((15, 15, 15))
     keys = mesh.snapshot().node_keys
-    np.testing.assert_array_equal(mesh.nodes_added_since(first),
-                                  np.flatnonzero(~np.isin(keys, first)))
-    assert len(mesh.nodes_added_since(keys)) == 0
-    np.testing.assert_array_equal(mesh.nodes_added_since(first.copy()),
-                                  np.flatnonzero(~np.isin(keys, first)))
+    assert len(keys) > len(first)
+    np.testing.assert_array_equal(keys[mesh.node_ids(first)], first)
+    np.testing.assert_array_equal(mesh.node_ids(keys.copy()), np.arange(len(keys)))
     other = OctreeMesh(max_level=4, base_level=1)
     other.refine_to_voxel((7, 7, 7))
-    assert mesh.nodes_added_since(other.snapshot().node_keys) is None
+    assert mesh.node_ids(other.snapshot().node_keys) is None
 
 
 def test_driver_print_builds_the_node_table_once(monkeypatch):
