@@ -104,8 +104,9 @@ _FORMATTERS = {
 
 
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
+    # No header can name the section "", so [DEFAULT] is an ordinary, unknown section.
     cp = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
+        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";"), default_section=""
     )
     try:
         cp.read_string(text, source=source)

@@ -12,8 +12,9 @@ Only what the solve reads is carried from one deposit to the next: the
 free block of the operator, its bed lift and diagonal, and the mass in
 the form its matvec needs. A new voxel writes only the rows of its
 corners. A row depends only on which of its node's 8 surrounding voxels
-are active, so rows are memoized by that stencil and built on a miss with
-the kernel the whole-mesh assembly runs; every bit matches a fresh
+are active, in Morton order; the 819 such stencils have their rows in one
+table per setup, built on first use (about 50 ms per process) with the
+kernel the whole-mesh assembly runs, so every bit matches a fresh
 assembly. The whole matrices are built only when asked for.
 
 All quantities are non-dimensional; the mesh lattice unit is the voxel
@@ -23,6 +24,7 @@ edge.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -290,7 +292,7 @@ def _fold(rows: _Rows, x: np.ndarray) -> np.ndarray:
     return sp.csr_matrix((rows.vals, ids, ptr), shape=(len(ptr) - 1, nnz)) @ x
 
 
-# --- the stencil memo ----------------------------------------------------------
+# --- the stencil table ----------------------------------------------------------
 
 # The 3x3x3 block of lattice nodes around a node, numbered in node-key order:
 # node p + d, d in {-1, 0, 1}^3, is 9 (dx + 1) + 3 (dy + 1) + (dz + 1), so p is 13.
@@ -300,43 +302,79 @@ _BLOCK_IDS = _CENTER + (CHILD_OFFSETS[None, :, :] - CHILD_OFFSETS[:, None, :]) @
 
 
 @dataclass(frozen=True)
-class _StencilRow:
-    """One node's row of M and of A = M + dt K, columns as block ids."""
+class _StencilTable:
+    """Every row a node can have in M and in A = M + dt K, by stencil code.
 
-    m_cols: np.ndarray
-    m_vals: np.ndarray
-    a_cols: np.ndarray
-    a_vals: np.ndarray
-
-
-def _stencil_rows(stencils: list, pair, dt: float) -> list[_StencilRow]:
-    """The rows of nodes that are corner ``stencil[e]`` of their e-th active element.
-
-    One ``_couple`` call builds them all, each stencil's elements in their
-    order and numbered in a block of their own. A row so sees the (column,
-    value) pairs it gets in any larger assembly, in the same order, so by
-    ``_couple``'s invariant it has the whole-mesh bits.
+    A node's stencil is the corner it takes in each active element touching
+    it, in element (Morton) order; its code is ``sum((corner_i + 1) << 4 i)``.
+    Row k of ``m`` and ``a`` is the row of stencil ``codes[k]`` (sorted), its
+    columns as block ids; ``m_diag`` and ``a_diag`` hold its center value.
     """
-    conn = np.concatenate([_BLOCK_IDS[list(s)] + 27 * k for k, s in enumerate(stencils)])
-    M, A = _couple(conn, pair, dt, 27 * len(stencils))
-    rows = []
-    for k in range(len(stencils)):
-        r = 27 * k + _CENTER
-        m = slice(M.indptr[r], M.indptr[r + 1])
-        a = slice(A.indptr[r], A.indptr[r + 1])
-        rows.append(_StencilRow(M.indices[m] - 27 * k, M.data[m].copy(),
-                                A.indices[a] - 27 * k, A.data[a].copy()))
-    return rows
+
+    codes: np.ndarray
+    m: _Rows
+    a: _Rows
+    m_diag: np.ndarray
+    a_diag: np.ndarray
 
 
-def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[list, np.ndarray]:
-    """Memo keys of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
+def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``idx`` of a row pointer ``ptr`` end to end: their pointer and entry positions."""
+    lens = ptr[idx + 1] - ptr[idx]
+    out = np.zeros(len(idx) + 1, dtype=np.intp)
+    np.cumsum(lens, out=out[1:])
+    return out, np.arange(out[-1]) + np.repeat(ptr[idx] - out[:-1], lens)
 
-    A node's key is the corner it takes in each active element of ``conn``
-    touching it, in element (Morton) order: which of its 8 surrounding
-    voxels are active, in the order the assembly visits them. ``blocks[k]``
-    maps block ids around ``rows[k]`` to node ids (only those in its
-    elements are set).
+
+# Stencils per ``_couple`` call while the table is built: one call for all
+# 819 would hold about 17 MB of element entries at once.
+_BATCH = 128
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTable:
+    """The rows of every stencil, read-only.
+
+    In Morton order the 8 voxels around a node p sort by anchor, lower
+    first, lexicographically under one axis priority: axis a ranks by
+    ``3 tz(p_a) + a``, tz counting trailing zero bits. So a stencil is one
+    of 6 priorities times 255 voxel sets, 819 distinct ones. ``_couple``
+    builds their rows, each stencil's elements in their order and numbered
+    in a block of their own. A row so sees the (column, value) pairs it gets
+    in any larger assembly, in the same order, so by ``_couple``'s invariant
+    it has the whole-mesh bits.
+    """
+    stencils = set()
+    for priority in itertools.permutations(range(3)):
+        order = sorted(range(8), key=lambda j: [-CHILD_OFFSETS[j, a] for a in priority])
+        stencils.update(tuple(j for j in order if mask >> j & 1) for mask in range(1, 256))
+    by_code = dict(sorted((sum((c + 1) << 4 * i for i, c in enumerate(s)), s) for s in stencils))
+    stencils, pair = list(by_code.values()), _element_pair(mat, lumped)
+    lens, cols, vals = ([], []), ([], []), ([], [])  # per batch, for M and for A
+    for lo in range(0, len(stencils), _BATCH):
+        batch = stencils[lo:lo + _BATCH]
+        block = np.arange(len(batch))
+        conn = np.concatenate([_BLOCK_IDS[list(s)] + 27 * k for k, s in enumerate(batch)])
+        for i, X in enumerate(_couple(conn, pair, dt, 27 * len(batch))):
+            ptr, pos = _segments(X.indptr, 27 * block + _CENTER)
+            lens[i].append(np.diff(ptr))
+            cols[i].append(X.indices[pos] - 27 * np.repeat(block, lens[i][-1]))
+            vals[i].append(X.data[pos])
+    m, a = (_Rows(np.concatenate(([0], np.cumsum(np.concatenate(lens[i])))),
+                  np.concatenate(cols[i]), np.concatenate(vals[i])) for i in (0, 1))
+    table = _StencilTable(np.fromiter(by_code, np.int64, len(by_code)), m, a,
+                          m.vals[m.cols == _CENTER], a.vals[a.cols == _CENTER])
+    for arr in (table.codes, table.m_diag, table.a_diag, *vars(m).values(), *vars(a).values()):
+        arr.setflags(write=False)
+    return table
+
+
+def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil codes of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
+
+    A node's stencil comes from the active elements ``conn`` touching it,
+    in their order. ``blocks[k]`` maps block ids around ``rows[k]`` to node
+    ids (only those in its elements are set).
     """
     touched = np.zeros(m, dtype=bool)
     touched[rows] = True
@@ -345,12 +383,31 @@ def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[list, np.ndar
     hits = hits[np.argsort(flat[hits], kind="stable")]  # by node, element order kept
     elem, corner = hits >> 3, hits & 7
     counts = np.bincount(np.searchsorted(rows, flat[hits]), minlength=len(rows))
+    seg = np.repeat(np.arange(len(rows)), counts)
     blocks = np.empty((len(rows), 27), dtype=conn.dtype)
-    blocks[np.repeat(np.arange(len(rows)), counts)[:, None], _BLOCK_IDS[corner]] = conn[elem]
-    ends = np.cumsum(counts).tolist()
-    corner = corner.tolist()
-    keys = [tuple(corner[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    return keys, blocks
+    blocks[seg[:, None], _BLOCK_IDS[corner]] = conn[elem]
+    starts = np.cumsum(counts) - counts
+    codes = np.add.reduceat((corner + 1) << 4 * (np.arange(len(hits)) - starts[seg]), starts)
+    return codes, blocks
+
+
+def _lookup(table: _StencilTable, conn: np.ndarray, rows: np.ndarray,
+            m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table rows of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks."""
+    codes, blocks = _stencils(conn, rows, m)
+    idx = np.minimum(np.searchsorted(table.codes, codes), len(table.codes) - 1)
+    miss = np.flatnonzero(table.codes[idx] != codes)
+    if len(miss):
+        raise FemError(f"node {int(rows[miss[0]])}: its active elements form no voxel "
+                       f"stencil (code {int(codes[miss[0]]):#x})")
+    return idx, blocks
+
+
+def _gather(rows: _Rows, idx: np.ndarray, blocks: np.ndarray) -> _Rows:
+    """Table rows ``idx`` end to end, block ids mapped to node ids through ``blocks``."""
+    ptr, pos = _segments(rows.ptr, idx)
+    seg = np.repeat(np.arange(len(idx)), np.diff(ptr))
+    return _Rows(ptr, blocks[seg, rows.cols[pos]], rows.vals[pos])
 
 
 # --- state ---------------------------------------------------------------------
@@ -392,12 +449,10 @@ class _Operator:
     are held by Morton key, its nodes by id in the node table ``table``;
     after a refine those ids move to the new table by key
     (``OctreeMesh.node_ids``), so the operator is carried from deposit to
-    deposit. ``memo`` maps a node's stencil key to its ``_StencilRow``; it
-    is shared along the carried chain.
+    deposit. Rows are gathered from the setup's ``_stencil_table``.
     """
 
     setup: tuple  # (material, lumped_mass, dt, t_bed) it was built for
-    memo: dict
     leaf_keys: np.ndarray  # Morton keys of the active leaves it covers
     table: np.ndarray  # lattice keys of the node table its ids are on
     nodes: np.ndarray  # ids of the active nodes
@@ -410,36 +465,9 @@ class _Operator:
 
 def _empty_operator(setup: tuple, table: np.ndarray) -> _Operator:
     none, ids = np.empty(0), np.empty(0, np.intp)
-    return _Operator(setup, {}, np.empty(0, np.uint64), table, ids, ids,
+    return _Operator(setup, np.empty(0, np.uint64), table, ids, ids,
                      sp.csr_matrix((0, 0)), none, none,
                      none if setup[1] else sp.csr_matrix((0, 0)))
-
-
-def _lookup(op: _Operator, conn: np.ndarray, rows: np.ndarray,
-            m: int) -> tuple[list[_StencilRow], np.ndarray]:
-    """The memo rows of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
-
-    Stencils not in the memo yet are built, all in one ``_couple`` call.
-    """
-    mat, lumped, dt, _ = op.setup
-    keys, blocks = _stencils(conn, rows, m)
-    missing = [key for key in dict.fromkeys(keys) if key not in op.memo]
-    if missing:
-        op.memo.update(zip(missing, _stencil_rows(missing, _element_pair(mat, lumped), dt)))
-    return [op.memo[key] for key in keys], blocks
-
-
-def _joined(blocks: np.ndarray, cols: list, vals: list) -> _Rows:
-    """Memo rows end to end, their block ids mapped to node ids through ``blocks``."""
-    lens = [len(c) for c in cols]
-    seg = np.repeat(np.arange(len(cols)), lens)
-    return _Rows(np.concatenate(([0], np.cumsum(lens))), blocks[seg, np.concatenate(cols)],
-                 np.concatenate(vals))
-
-
-def _diagonal(cols: list, vals: list) -> np.ndarray:
-    """Each memo row's value in its own node's column."""
-    return np.concatenate(vals)[np.concatenate(cols) == _CENTER]
 
 
 def _merge(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,7 +496,7 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
     and free ids. Every active leaf of ``prev`` is still active, so each of
     its nodes is a node of the current table.
     """
-    _, lumped, _, t_bed = setup
+    mat, lumped, dt, t_bed = setup
     keys, coords = mesh.snapshot().node_keys, mesh.node_coords
     leaf_keys = mesh.keys[act]
     if prev is None:
@@ -489,9 +517,9 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
         return replace(prev, table=keys, nodes=nodes, free=free)
 
     rows = np.unique(conn[is_new])
-    found, blocks = _lookup(prev, conn, rows, len(keys))
-    a_cols, a_vals = [r.a_cols for r in found], [r.a_vals for r in found]
-    A = _joined(blocks, a_cols, a_vals)
+    table = _stencil_table(mat, lumped, dt)
+    idx, blocks = _lookup(table, conn, rows, len(keys))
+    A = _gather(table.a, idx, blocks)
     row_free = coords[rows, 2] > 0
     col_free = coords[A.cols, 2] > 0
     nodes, to_active, active_rows = _merge(nodes, rows)
@@ -506,18 +534,16 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
         lift = np.zeros(len(free_rows))
     else:
         lift = _fold(A, np.where(col_free, 0.0, t_bed))[row_free]
-    diag = _diagonal(a_cols, a_vals)[row_free]
+    diag = table.a_diag[idx][row_free]
 
-    m_cols, m_vals = [r.m_cols for r in found], [r.m_vals for r in found]
     if lumped:
-        mass = _splice_values(prev.mass, to_active, active_rows, _diagonal(m_cols, m_vals),
-                              len(nodes))
+        mass = _splice_values(prev.mass, to_active, active_rows, table.m_diag[idx], len(nodes))
     else:
-        M = _joined(blocks, m_cols, m_vals)
+        M = _gather(table.m, idx, blocks)
         M = _Rows(M.ptr, np.searchsorted(nodes, M.cols).astype(prev.mass.indices.dtype), M.vals)
         mass = _splice(prev.mass, to_active, active_rows, M, len(nodes))
     return _Operator(
-        setup, prev.memo, leaf_keys, keys, nodes, free,
+        setup, leaf_keys, keys, nodes, free,
         _splice(prev.a_free, to_free, free_rows, fresh, len(free)),
         _splice_values(prev.lift, to_free, free_rows, lift, len(free)),
         _splice_values(prev.diag, to_free, free_rows, diag, len(free)),
@@ -531,7 +557,7 @@ def _hold(op: _Operator, conn: np.ndarray, free: np.ndarray, held: np.ndarray,
 
     Their rows and columns leave the free block, and the lift of every free
     row that shares an element with one of them is folded again from its
-    full memo row, ``x`` holding the prescribed values (0 at free nodes).
+    full table row, ``x`` holding the prescribed values (0 at free nodes).
     """
     keep = ~np.isin(free, held)
     a_free, lift, diag, free = op.a_free, op.lift[keep], op.diag[keep], free[keep]
@@ -539,8 +565,9 @@ def _hold(op: _Operator, conn: np.ndarray, free: np.ndarray, held: np.ndarray,
         a_free = a_free[keep][:, keep]
     near = np.intersect1d(conn[np.isin(conn, held).any(axis=1)], free)
     if len(near):
-        found, blocks = _lookup(op, conn, near, len(x))
-        A = _joined(blocks, [r.a_cols for r in found], [r.a_vals for r in found])
+        table = _stencil_table(*op.setup[:3])
+        idx, blocks = _lookup(table, conn, near, len(x))
+        A = _gather(table.a, idx, blocks)
         lift[np.searchsorted(free, near)] = _fold(A, x[A.cols])
     return a_free, lift, diag, free
 

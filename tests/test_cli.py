@@ -248,3 +248,15 @@ def test_cli_solves_are_independent_of_the_blas_thread_count():
         outputs.append(done.stdout.split())
     assert int(outputs[0][0]) == 11774 and int(outputs[0][1]) > 0
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_the_stencil_table_unbuilt():
+    """The stencil table is built on the first assembly, not at import, so its
+    cost stays out of a CLI run's start-up."""
+    probe = ("import voxtherm.cli\nfrom voxtherm import fem\n"
+             "print(fem._stencil_table.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(voxtherm.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]

@@ -139,6 +139,18 @@ def test_unknown_section_rejected():
         parse_config("[physics]\nkappa = 1.0\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nkappa = 5\n",
+    "[DEFAULT]\ndt = 2\n\n[material]\nkappa = 1.0\n",
+    "[material]\nkappa = 1.0\n\n[DEFAULT]\n",
+])
+def test_default_section_rejected(text):
+    """configparser's [DEFAULT] is an unknown section too, not defaults for the
+    others, and is named as such."""
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_config(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown key 'conductivity'"):
         parse_config("[material]\nconductivity = 1.0\n")

@@ -230,12 +230,12 @@ def test_bed_sphere_end_to_end_bytes_hold_with_a_grown_and_a_rebuilt_node_table(
             report.t_active_min, report.t_active_max, report.checkpoints)
 
 
-def test_plain_deposits_splice_memo_rows_without_slicing(monkeypatch):
-    """A print runs the element kernel at most once per distinct stencil (plus
-    one) and never indexes a sparse matrix: each deposit splices memo rows."""
+def test_plain_deposits_gather_table_rows_without_slicing(monkeypatch):
+    """Building the stencil table, in the first print of a setup, makes the only
+    element kernel calls on the driver's path; a second print makes none. Neither
+    indexes a sparse matrix: each deposit splices rows gathered from the table."""
     couple = driver_mod.fem._couple
     calls = {"couple": 0, "getitem": 0}
-    systems = []
 
     def counted_couple(*args):
         calls["couple"] += 1
@@ -245,20 +245,18 @@ def test_plain_deposits_splice_memo_rows_without_slicing(monkeypatch):
         calls["getitem"] += 1
         return getitem(self, key)
 
-    def kept_assemble(*args, **kwargs):
-        systems.append(assemble(*args, **kwargs))
-        return systems[-1]
-
-    assemble, getitem = driver_mod.fem.assemble, sp.csr_matrix.__getitem__
+    getitem = sp.csr_matrix.__getitem__
     monkeypatch.setattr(driver_mod.fem, "_couple", counted_couple)
-    monkeypatch.setattr(driver_mod.fem, "assemble", kept_assemble)
     monkeypatch.setattr(sp.csr_matrix, "__getitem__", counted_getitem, raising=False)
     schedule = gen_test_schedule("sphere", VoxelGrid(dims=(12, 12, 12)), radius=4,
                                  center=(6, 6, 4))
-    run(schedule, SimConfig(cooldown_steps=2))
-    memo = systems[-1].operator.memo
-    assert len(schedule.order) > 100 and len(memo) > 50
-    assert calls["couple"] <= len(memo) + 1
+    assert len(schedule.order) > 100
+    driver_mod.fem._stencil_table.cache_clear()
+    batches = -(-819 // driver_mod.fem._BATCH)
+    for expected in (batches, 0):
+        calls["couple"] = 0
+        run(schedule, SimConfig(cooldown_steps=2))
+        assert calls["couple"] == expected
     assert calls["getitem"] == 0
 
 

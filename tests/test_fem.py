@@ -5,6 +5,7 @@ a 5-point Gauss quadrature over [0,1]^3 with its own shape functions and a
 dense elimination + LU solve of the assembled system.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -570,11 +571,29 @@ def patch_rows(mesh, rows, mat, dt, lumped):
     return out
 
 
+def assert_table_rows(mesh, rows, mat, dt, lumped):
+    """The table rows ``rows`` gather on ``mesh`` equal ``patch_rows``, bit for
+    bit, and so do their diagonals; returns their stencil codes."""
+    table = fem._stencil_table(mat, lumped, dt)
+    conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
+    idx, blocks = fem._lookup(table, conn, rows, len(mesh.node_coords))
+    M, A = fem._gather(table.m, idx, blocks), fem._gather(table.a, idx, blocks)
+    for k, (m_cols, m_vals, a_cols, a_vals) in enumerate(
+            patch_rows(mesh, rows, mat, dt, lumped)):
+        m_row, a_row = slice(*M.ptr[k:k + 2]), slice(*A.ptr[k:k + 2])
+        np.testing.assert_array_equal(M.cols[m_row], m_cols)
+        np.testing.assert_array_equal(A.cols[a_row], a_cols)
+        assert M.vals[m_row].tobytes() == m_vals.tobytes()
+        assert A.vals[a_row].tobytes() == a_vals.tobytes()
+        assert table.m_diag[idx[k]] == m_vals[m_cols == rows[k]][0]
+        assert table.a_diag[idx[k]] == a_vals[a_cols == rows[k]][0]
+    return table.codes[idx]
+
+
 @pytest.mark.parametrize("lumped", [True, False])
-def test_memo_rows_match_the_patch_rebuild(lumped):
-    """On random prints, every deposit's corner rows taken from the stencil memo
-    equal the rows the 27-element patch builds, bit for bit, and every memo
-    entry is checked so."""
+def test_table_rows_match_the_patch_rebuild(lumped):
+    """On random prints, every deposit's corner rows gathered from the stencil
+    table equal the rows the 27-element patch builds, bit for bit."""
     rng = np.random.default_rng(20261019 + lumped)
     bcs = BoundarySpec()
     mat = MaterialParams(kappa=0.3)
@@ -587,27 +606,47 @@ def test_memo_rows_match_the_patch_rebuild(lumped):
         lo[2] = int(rng.integers(0, 2))
         box = [tuple(int(c) for c in lo + d) for d in np.ndindex(4, 4, 3)]
         order = [box[i] for i in rng.permutation(len(box))[: int(rng.integers(10, 30))]]
-        system, checked = None, set()
+        system = None
         for voxel in order:
             if mesh.refine_to_voxel(voxel):
                 state = transfer_solution(state, mesh, bcs)
             leaf = activate_voxel(mesh, state, voxel, bcs)
             system = assemble(mesh, state, mat, bcs, dt, lumped_mass=lumped, previous=system)
-            rows = np.unique(mesh.leaf_nodes[leaf])
-            m = len(mesh.node_coords)
-            keys, _ = fem._stencils(system.elements, rows, m)
-            found, blocks = fem._lookup(system.operator, system.elements, rows, m)
-            M = fem._joined(blocks, [r.m_cols for r in found], [r.m_vals for r in found])
-            A = fem._joined(blocks, [r.a_cols for r in found], [r.a_vals for r in found])
-            for k, (m_cols, m_vals, a_cols, a_vals) in enumerate(
-                    patch_rows(mesh, rows, mat, dt, lumped)):
-                m_row, a_row = slice(*M.ptr[k:k + 2]), slice(*A.ptr[k:k + 2])
-                np.testing.assert_array_equal(M.cols[m_row], m_cols)
-                np.testing.assert_array_equal(A.cols[a_row], a_cols)
-                assert M.vals[m_row].tobytes() == m_vals.tobytes()
-                assert A.vals[a_row].tobytes() == a_vals.tobytes()
-            checked.update(keys)
-        assert checked == set(system.operator.memo)
+            assert_table_rows(mesh, np.unique(mesh.leaf_nodes[leaf]), mat, dt, lumped)
+
+
+@pytest.mark.parametrize("lumped", [True, False])
+def test_stencil_table_holds_every_voxel_set_of_each_axis_priority(lumped):
+    """Around an interior node whose coordinates have 0, 1 and 2 trailing zero
+    bits, in each of the 6 axis orders, every one of the 255 sets of active
+    voxels gives a stencil code in the table, and its rows equal the patch
+    rebuild bit for bit. The 6 nodes order their 8 voxels 6 ways."""
+    mat, dt = MaterialParams(kappa=0.2), 0.7
+    full_codes = set()
+    for coords in itertools.permutations((1, 2, 4)):
+        mesh = OctreeMesh(max_level=3, base_level=0)
+        voxels = [tuple(int(c) for c in np.subtract(coords, o)) for o in fem.CHILD_OFFSETS]
+        for voxel in voxels:
+            mesh.refine_to_voxel(voxel)
+        leaves = [mesh.find_leaf(v) for v in voxels]
+        (node,) = np.flatnonzero((mesh.node_coords == coords).all(axis=1))
+        for mask in range(1, 256):
+            mesh.active[:] = False
+            mesh.active[[leaf for j, leaf in enumerate(leaves) if mask >> j & 1]] = True
+            (code,) = assert_table_rows(mesh, np.array([node]), mat, dt, lumped)
+        full_codes.add(int(code))
+    assert len(full_codes) == 6
+
+
+def test_lookup_rejects_a_stencil_outside_the_table():
+    """Elements out of Morton order give a node a stencil no voxel lattice has."""
+    mesh = column_mesh()
+    conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
+    table = fem._stencil_table(MaterialParams(), True, 1.0)
+    rows = np.unique(conn)
+    fem._lookup(table, conn, rows, len(mesh.node_coords))
+    with pytest.raises(FemError, match="no voxel stencil"):
+        fem._lookup(table, conn[::-1], rows, len(mesh.node_coords))
 
 
 def test_assemble_rejects_a_previous_system_it_cannot_carry():
