@@ -26,6 +26,7 @@ _EXPORTS = {
     "build_schedule": "schedule",
     "apply_sparsity": "schedule",
     "gen_test_schedule": "schedule",
+    "format_gcode": "schedule",
     "format_schedule": "schedule",
     "parse_schedule": "schedule",
     "save_schedule": "schedule",

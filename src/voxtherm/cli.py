@@ -35,6 +35,7 @@ from .output import write_report, write_vtk
 from .schedule import (
     VoxelGrid,
     build_schedule,
+    format_gcode,
     format_schedule,
     gen_test_schedule,
     load_schedule,
@@ -124,14 +125,8 @@ def _cmd_gen(args) -> int:
         kwargs["radius"] = args.radius
         if args.center is not None:
             kwargs["center"] = tuple(args.center)
-    if args.emit == "gcode":
-        text = _stage(
-            "shape generation", gen_test_schedule, "raster_gcode", grid,
-            base_shape=args.shape, **kwargs,
-        )
-    else:
-        schedule = _stage("shape generation", gen_test_schedule, args.shape, grid, **kwargs)
-        text = format_schedule(schedule)
+    schedule = _stage("shape generation", gen_test_schedule, args.shape, grid, **kwargs)
+    text = format_gcode(schedule) if args.emit == "gcode" else format_schedule(schedule)
     _write_text(args.output, text, "writing output")
     return 0
 

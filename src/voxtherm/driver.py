@@ -72,6 +72,8 @@ class SimConfig:
             raise DriverError(
                 f"max_level {self.max_level} below base_level {self.base_level}"
             )
+        if self.max_level is not None and self.max_level > 19:  # the octree's limit
+            raise DriverError(f"max_level must be at most 19, got {self.max_level}")
         if not (0 < self.solver_tol < math.inf):
             raise DriverError(
                 f"solver_tol must be positive and finite, got {self.solver_tol}"
@@ -221,7 +223,8 @@ def run(
             VoxelRecord(
                 voxel_ordinal=ordinal,
                 leaves=len(mesh),
-                active_elements=int(mesh.active.sum()),
+                # no voxel repeats and each deposit activates one leaf
+                active_elements=ordinal,
                 nodes=len(mesh.node_coords),
                 solver_iters=iters,
                 wall_ms=(_time.perf_counter() - v0) * 1e3,

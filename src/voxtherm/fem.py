@@ -303,15 +303,15 @@ _BLOCK_IDS = _CENTER + (CHILD_OFFSETS[None, :, :] - CHILD_OFFSETS[:, None, :]) @
 
 @dataclass(frozen=True)
 class _StencilTable:
-    """Every row a node can have in M and in A = M + dt K, by stencil code.
+    """Every row a node can have in M and in A = M + dt K, by axis priority and voxel set.
 
-    A node's stencil is the corner it takes in each active element touching
-    it, in element (Morton) order; its code is ``sum((corner_i + 1) << 4 i)``.
-    Row k of ``m`` and ``a`` is the row of stencil ``codes[k]`` (sorted), its
-    columns as block ids; ``m_diag`` and ``a_diag`` hold its center value.
+    A node's row is set by its two most significant axes a and b and by
+    ``mask``, whose bit j is set when the voxel whose corner j is the node
+    is active. Row ``index[3 a + b, mask]`` of ``m`` and ``a`` is that row,
+    its columns as block ids; ``m_diag`` and ``a_diag`` hold its center value.
     """
 
-    codes: np.ndarray
+    index: np.ndarray
     m: _Rows
     a: _Rows
     m_diag: np.ndarray
@@ -335,21 +335,24 @@ _BATCH = 128
 def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTable:
     """The rows of every stencil, read-only.
 
-    In Morton order the 8 voxels around a node p sort by anchor, lower
-    first, lexicographically under one axis priority: axis a ranks by
-    ``3 tz(p_a) + a``, tz counting trailing zero bits. So a stencil is one
-    of 6 priorities times 255 voxel sets, 819 distinct ones. ``_couple``
-    builds their rows, each stencil's elements in their order and numbered
-    in a block of their own. A row so sees the (column, value) pairs it gets
-    in any larger assembly, in the same order, so by ``_couple``'s invariant
-    it has the whole-mesh bits.
+    A node's stencil is the corner it takes in each active element touching
+    it, in element (Morton) order. In Morton order the 8 voxels around a
+    node sort by anchor, lower first, lexicographically under one axis
+    priority (see ``_lookup``), so a stencil is one of 6 priorities times
+    255 voxel sets, 819 distinct ones. ``_couple`` builds their rows, each
+    stencil's elements in their order and numbered in a block of their own.
+    A row so sees the (column, value) pairs it gets in any larger assembly,
+    in the same order, so by ``_couple``'s invariant it has the whole-mesh
+    bits.
     """
-    stencils = set()
+    index = np.zeros((9, 256), dtype=np.intp)
+    row_of = {}  # stencil -> table row
     for priority in itertools.permutations(range(3)):
         order = sorted(range(8), key=lambda j: [-CHILD_OFFSETS[j, a] for a in priority])
-        stencils.update(tuple(j for j in order if mask >> j & 1) for mask in range(1, 256))
-    by_code = dict(sorted((sum((c + 1) << 4 * i for i, c in enumerate(s)), s) for s in stencils))
-    stencils, pair = list(by_code.values()), _element_pair(mat, lumped)
+        for mask in range(1, 256):
+            stencil = tuple(j for j in order if mask >> j & 1)
+            index[3 * priority[0] + priority[1], mask] = row_of.setdefault(stencil, len(row_of))
+    stencils, pair = list(row_of), _element_pair(mat, lumped)
     lens, cols, vals = ([], []), ([], []), ([], [])  # per batch, for M and for A
     for lo in range(0, len(stencils), _BATCH):
         batch = stencils[lo:lo + _BATCH]
@@ -362,45 +365,34 @@ def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTabl
             vals[i].append(X.data[pos])
     m, a = (_Rows(np.concatenate(([0], np.cumsum(np.concatenate(lens[i])))),
                   np.concatenate(cols[i]), np.concatenate(vals[i])) for i in (0, 1))
-    table = _StencilTable(np.fromiter(by_code, np.int64, len(by_code)), m, a,
-                          m.vals[m.cols == _CENTER], a.vals[a.cols == _CENTER])
-    for arr in (table.codes, table.m_diag, table.a_diag, *vars(m).values(), *vars(a).values()):
+    table = _StencilTable(index, m, a, m.vals[m.cols == _CENTER], a.vals[a.cols == _CENTER])
+    for arr in (table.index, table.m_diag, table.a_diag, *vars(m).values(), *vars(a).values()):
         arr.setflags(write=False)
     return table
 
 
-def _stencils(conn: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil codes of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks.
+def _lookup(table: _StencilTable, conn: np.ndarray, rows: np.ndarray,
+            coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table rows of the nodes ``rows`` (sorted ids) and their blocks.
 
-    A node's stencil comes from the active elements ``conn`` touching it,
-    in their order. ``blocks[k]`` maps block ids around ``rows[k]`` to node
-    ids (only those in its elements are set).
+    A node's voxel set comes from the active elements ``conn`` touching it.
+    Its axis priority comes from its lattice point p in ``coords``: along
+    axis a the two layers of voxels around p first differ at Morton bit
+    ``3 tz(p_a) + a``, tz counting trailing zero bits, so axes rank by
+    ``p & -p`` and then by index. ``blocks[k]`` maps block ids around
+    ``rows[k]`` to node ids (only those in its elements are set).
     """
-    touched = np.zeros(m, dtype=bool)
+    touched = np.zeros(len(coords), dtype=bool)
     touched[rows] = True
     flat = conn.ravel()
-    hits = np.flatnonzero(touched[flat])  # element order, then corner
-    hits = hits[np.argsort(flat[hits], kind="stable")]  # by node, element order kept
-    elem, corner = hits >> 3, hits & 7
-    counts = np.bincount(np.searchsorted(rows, flat[hits]), minlength=len(rows))
-    seg = np.repeat(np.arange(len(rows)), counts)
+    hits = np.flatnonzero(touched[flat])
+    seg, corner = np.searchsorted(rows, flat[hits]), hits & 7
     blocks = np.empty((len(rows), 27), dtype=conn.dtype)
-    blocks[seg[:, None], _BLOCK_IDS[corner]] = conn[elem]
-    starts = np.cumsum(counts) - counts
-    codes = np.add.reduceat((corner + 1) << 4 * (np.arange(len(hits)) - starts[seg]), starts)
-    return codes, blocks
-
-
-def _lookup(table: _StencilTable, conn: np.ndarray, rows: np.ndarray,
-            m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Table rows of the nodes ``rows`` (sorted ids on ``m`` nodes) and their blocks."""
-    codes, blocks = _stencils(conn, rows, m)
-    idx = np.minimum(np.searchsorted(table.codes, codes), len(table.codes) - 1)
-    miss = np.flatnonzero(table.codes[idx] != codes)
-    if len(miss):
-        raise FemError(f"node {int(rows[miss[0]])}: its active elements form no voxel "
-                       f"stencil (code {int(codes[miss[0]]):#x})")
-    return idx, blocks
+    blocks[seg[:, None], _BLOCK_IDS[corner]] = conn[hits >> 3]
+    mask = np.bincount(seg, 1 << corner, len(rows)).astype(np.intp)
+    p = coords[rows]
+    axes = np.argsort(-(4 * (p & -p) + [0, 1, 2]), axis=1)
+    return table.index[3 * axes[:, 0] + axes[:, 1], mask], blocks
 
 
 def _gather(rows: _Rows, idx: np.ndarray, blocks: np.ndarray) -> _Rows:
@@ -518,7 +510,7 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
 
     rows = np.unique(conn[is_new])
     table = _stencil_table(mat, lumped, dt)
-    idx, blocks = _lookup(table, conn, rows, len(keys))
+    idx, blocks = _lookup(table, conn, rows, coords)
     A = _gather(table.a, idx, blocks)
     row_free = coords[rows, 2] > 0
     col_free = coords[A.cols, 2] > 0
@@ -551,7 +543,7 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
     )
 
 
-def _hold(op: _Operator, conn: np.ndarray, free: np.ndarray, held: np.ndarray,
+def _hold(op: _Operator, conn: np.ndarray, coords: np.ndarray, free: np.ndarray, held: np.ndarray,
           x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """``a_free``, ``lift``, ``diag`` and ``free`` with the active nodes ``held`` pinned too.
 
@@ -566,7 +558,7 @@ def _hold(op: _Operator, conn: np.ndarray, free: np.ndarray, held: np.ndarray,
     near = np.intersect1d(conn[np.isin(conn, held).any(axis=1)], free)
     if len(near):
         table = _stencil_table(*op.setup[:3])
-        idx, blocks = _lookup(table, conn, near, len(x))
+        idx, blocks = _lookup(table, conn, near, coords)
         A = _gather(table.a, idx, blocks)
         lift[np.searchsorted(free, near)] = _fold(A, x[A.cols])
     return a_free, lift, diag, free
@@ -721,7 +713,7 @@ def assemble(
         prescribed[pins] = [extra[nid] for nid in pins.tolist()]
         held = pins[np.isin(pins, nodes)]
         if len(held):
-            a_free, lift, diag, free = _hold(op, conn, free, held, prescribed)
+            a_free, lift, diag, free = _hold(op, conn, coords, free, held, prescribed)
 
     b = _rhs(op, nodes, m, state.values)
     if mat.latent_source != 0.0 and latent_leaves:

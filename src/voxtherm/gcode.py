@@ -42,7 +42,7 @@ class GcodeError(ValueError):
 
 
 class GcodeParseError(GcodeError):
-    """Malformed numeric field or unparseable word on a recognized command."""
+    """Malformed, overflowing or repeated word on a recognized command."""
 
 
 class UnsupportedCommandError(GcodeError):
@@ -138,8 +138,20 @@ def _strip_comments(line: str, line_no: int) -> str:
     return "".join(out)
 
 
+def _number(word: re.Match, line_no: int) -> float:
+    """The value of a matched word; one that overflows a float is malformed."""
+    value = float(word.group(2))
+    if not math.isfinite(value):
+        raise GcodeParseError(f"number after '{word.group(1)}' is out of range", line_no)
+    return value
+
+
 def _parse_words(body: str, line_no: int) -> dict[str, float]:
-    """Split 'X1.5 Y-2 E.3' into a letter->value map, validating numbers."""
+    """Split 'X1.5 Y-2 E.3' into a letter->value map, validating numbers.
+
+    A letter may appear once per line. That also rejects exponent notation:
+    ``X1e2 E1`` reads as the words X1, E2 and E1.
+    """
     words: dict[str, float] = {}
     pos = 0
     while pos < len(body):
@@ -151,7 +163,10 @@ def _parse_words(body: str, line_no: int) -> dict[str, float]:
             raise GcodeParseError(
                 f"malformed numeric field after '{body[m.start()]}'", line_no
             )
-        words[wm.group(1).upper()] = float(wm.group(2))
+        letter = wm.group(1).upper()
+        if letter in words:
+            raise GcodeParseError(f"word '{letter}' repeated", line_no)
+        words[letter] = _number(wm, line_no)
         pos = wm.end()
     return words
 
@@ -182,7 +197,7 @@ def parse_gcode(text: str) -> Toolpath:
                 continue
             body = rest
         letter = m.group(1).upper()
-        number = int(float(m.group(2)))
+        number = int(_number(m, line_no))
         args = body[m.end():]
 
         if letter == "G":
@@ -242,8 +257,8 @@ def _apply_move(st: MachineState, words: dict[str, float], is_g1: bool) -> Toolp
             st.extruder += de
 
     extruding = is_g1 and de > 0.0
-    start = tuple(st.position)
-    end = tuple(target)
+    start = tuple(st.position.tolist())
+    end = tuple(target.tolist())
     st.position = target
     if start == end and not extruding:
         return None  # feed-only line or in-place retract: no motion, no deposit

@@ -29,6 +29,7 @@ __all__ = [
     "build_schedule",
     "apply_sparsity",
     "gen_test_schedule",
+    "format_gcode",
     "format_schedule",
     "parse_schedule",
     "save_schedule",
@@ -284,27 +285,6 @@ def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
     return cells
 
 
-def _cells_to_gcode(cells: dict, grid: VoxelGrid) -> str:
-    """Serpentine raster G-code visiting the same voxels in the same order."""
-    dx = grid.voxel_size
-    lines = ["; voxtherm raster", "G90", "M82", "G21"]
-    e = 0.0
-
-    def fmt(p) -> str:
-        return f"X{float(p[0])!r} Y{float(p[1])!r} Z{float(p[2])!r}"
-
-    for k in sorted(cells):
-        for rank, j in enumerate(sorted(cells[k])):
-            row = sorted(cells[k][j])
-            i0, i1 = (row[0], row[-1]) if rank % 2 == 0 else (row[-1], row[0])
-            start = tuple(grid.center(VoxelId(i0, j, k)))
-            end = tuple(grid.center(VoxelId(i1, j, k)))
-            lines.append(f"G0 {fmt(start)}")
-            e += max(abs(i1 - i0) * dx, 0.5 * dx)
-            lines.append(f"G1 {fmt(end)} E{e!r}")
-    return "\n".join(lines) + "\n"
-
-
 def gen_test_schedule(
     shape: str,
     grid: VoxelGrid,
@@ -313,13 +293,12 @@ def gen_test_schedule(
     offset=(0, 0, 0),
     radius: float | None = None,
     center=None,
-    base_shape: str = "cuboid",
-):
-    """Procedural schedules (and equivalent raster G-code) for known solids.
+) -> VoxelSchedule:
+    """Procedural serpentine schedules for known solids.
 
-    ``shape`` is ``cuboid``, ``sphere`` or ``raster_gcode``; the last returns
-    G-code text rastering ``base_shape`` so the parse -> schedule path can be
-    exercised end to end.
+    ``shape`` is ``cuboid`` (``dims`` at ``offset``) or ``sphere``
+    (``radius`` around ``center``, the grid centre by default).
+    ``format_gcode`` writes one as G-code.
     """
     if shape == "cuboid":
         if dims is None:
@@ -329,19 +308,36 @@ def gen_test_schedule(
         if radius is None:
             raise ScheduleError("sphere requires radius")
         return VoxelSchedule(grid, _boustrophedon(_sphere_cells(grid, radius, center)))
-    if shape == "raster_gcode":
-        if base_shape == "cuboid":
-            if dims is None:
-                raise ScheduleError("cuboid requires dims")
-            cells = _cuboid_cells(grid, dims, offset)
-        elif base_shape == "sphere":
-            if radius is None:
-                raise ScheduleError("sphere requires radius")
-            cells = _sphere_cells(grid, radius, center)
-        else:
-            raise ScheduleError(f"unknown base shape {base_shape!r}")
-        return _cells_to_gcode(cells, grid)
     raise ScheduleError(f"unknown shape {shape!r}")
+
+
+def format_gcode(schedule: VoxelSchedule) -> str:
+    """Raster G-code that ``build_schedule`` reads back as ``schedule``.
+
+    Each row run of the order, voxels of one row one step apart, becomes a
+    travel to its first voxel's centre and one extruding move to its last
+    one's. No voxel repeats, so a run never turns back.
+    """
+    grid = schedule.grid
+    runs: list[list[VoxelId]] = []  # [first, last] of each run
+    for v in schedule.order:
+        last = runs[-1][1] if runs else None
+        if last and (v.j, v.k) == (last.j, last.k) and abs(v.i - last.i) == 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+
+    def fmt(v: VoxelId) -> str:
+        x, y, z = grid.center(v).tolist()
+        return f"X{x!r} Y{y!r} Z{z!r}"
+
+    lines = ["; voxtherm raster", "G90", "M82", "G21"]
+    e = 0.0
+    for first, last in runs:
+        lines.append(f"G0 {fmt(first)}")
+        e += max(abs(last.i - first.i) * grid.voxel_size, 0.5 * grid.voxel_size)
+        lines.append(f"G1 {fmt(last)} E{e!r}")
+    return "\n".join(lines) + "\n"
 
 
 # --- schedule file format ---------------------------------------------------

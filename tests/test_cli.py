@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, pipelines, stage-named errors."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -55,6 +56,20 @@ def test_gen_gcode_voxelize_round_trip(tmp_path):
     assert sched.read_text() == direct.read_text()
 
 
+@pytest.mark.parametrize("shape, digest", [
+    (["cuboid", "--dims", "3", "2", "2", "--offset", "1", "2", "0",
+      "--grid", "6", "6", "4", "--voxel-size", "0.4", "--origin", "1.5", "-2", "0.25"],
+     "d837f7ecbf2cd1b059e25cc041e0408070084e6e3075b60bf0a9966c1f116ec9"),
+    (["sphere", "--radius", "3.2", "--grid", "8", "8", "8",
+      "--voxel-size", "0.25", "--origin", "1.0", "-2.0", "0.125"],
+     "7d16ce0265f07245b4da66a4fce57ffe76ec48042376d89b0e581ef72d67152a"),
+], ids=["cuboid", "sphere"])
+def test_gen_gcode_bytes_are_pinned(tmp_path, shape, digest):
+    out = tmp_path / "part.gcode"
+    assert main(["gen", "--shape", *shape, "--emit", "gcode", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_voxelize_from_stdin_to_stdout(tmp_path, capsys, monkeypatch):
     gcode = tmp_path / "bar.gcode"
     assert main(["gen", "--shape", "cuboid", "--dims", "2", "1", "1",
@@ -64,6 +79,16 @@ def test_voxelize_from_stdin_to_stdout(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("grid 4 4 4 ")
     assert len(out.strip().splitlines()) == 3  # header + 2 voxels
+
+
+def test_voxelize_out_of_grid_segment_names_plain_numbers(tmp_path, capsys):
+    gcode = tmp_path / "long.gcode"
+    gcode.write_text("G1 X50 E1\n")
+    assert main(["voxelize", str(gcode), "--grid", "4", "4", "4",
+                 "-o", str(tmp_path / "x.sched")]) == 1
+    err = capsys.readouterr().err
+    assert "segment (0.0, 0.0, 0.0)->(50.0, 0.0, 0.0): end point outside grid" in err
+    assert "np." not in err
 
 
 def test_voxelize_missing_file_exits_one(tmp_path, capsys):

@@ -134,6 +134,14 @@ def test_auto_max_level():
     assert cfg.max_level == 5
 
 
+def test_max_level_past_the_octree_limit_rejected():
+    """The octree holds at most 19 levels; a config asking for more fails
+    where it is read, not when the print starts."""
+    with pytest.raises(ConfigError, match=r"^run\.cfg: max_level must be at most 19, got 40$"):
+        parse_config("[grid]\nmax_level = 40\n", source="run.cfg")
+    assert parse_config("[grid]\nmax_level = 19\n").max_level == 19
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[physics\]"):
         parse_config("[physics]\nkappa = 1.0\n")

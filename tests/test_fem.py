@@ -573,10 +573,10 @@ def patch_rows(mesh, rows, mat, dt, lumped):
 
 def assert_table_rows(mesh, rows, mat, dt, lumped):
     """The table rows ``rows`` gather on ``mesh`` equal ``patch_rows``, bit for
-    bit, and so do their diagonals; returns their stencil codes."""
+    bit, and so do their diagonals; returns their table indices."""
     table = fem._stencil_table(mat, lumped, dt)
     conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
-    idx, blocks = fem._lookup(table, conn, rows, len(mesh.node_coords))
+    idx, blocks = fem._lookup(table, conn, rows, mesh.node_coords)
     M, A = fem._gather(table.m, idx, blocks), fem._gather(table.a, idx, blocks)
     for k, (m_cols, m_vals, a_cols, a_vals) in enumerate(
             patch_rows(mesh, rows, mat, dt, lumped)):
@@ -587,7 +587,7 @@ def assert_table_rows(mesh, rows, mat, dt, lumped):
         assert A.vals[a_row].tobytes() == a_vals.tobytes()
         assert table.m_diag[idx[k]] == m_vals[m_cols == rows[k]][0]
         assert table.a_diag[idx[k]] == a_vals[a_cols == rows[k]][0]
-    return table.codes[idx]
+    return idx
 
 
 @pytest.mark.parametrize("lumped", [True, False])
@@ -619,10 +619,10 @@ def test_table_rows_match_the_patch_rebuild(lumped):
 def test_stencil_table_holds_every_voxel_set_of_each_axis_priority(lumped):
     """Around an interior node whose coordinates have 0, 1 and 2 trailing zero
     bits, in each of the 6 axis orders, every one of the 255 sets of active
-    voxels gives a stencil code in the table, and its rows equal the patch
-    rebuild bit for bit. The 6 nodes order their 8 voxels 6 ways."""
+    voxels gathers rows that equal the patch rebuild bit for bit. The 6 nodes
+    order their 8 voxels 6 ways, so their full sets take 6 distinct rows."""
     mat, dt = MaterialParams(kappa=0.2), 0.7
-    full_codes = set()
+    full_rows = set()
     for coords in itertools.permutations((1, 2, 4)):
         mesh = OctreeMesh(max_level=3, base_level=0)
         voxels = [tuple(int(c) for c in np.subtract(coords, o)) for o in fem.CHILD_OFFSETS]
@@ -633,20 +633,24 @@ def test_stencil_table_holds_every_voxel_set_of_each_axis_priority(lumped):
         for mask in range(1, 256):
             mesh.active[:] = False
             mesh.active[[leaf for j, leaf in enumerate(leaves) if mask >> j & 1]] = True
-            (code,) = assert_table_rows(mesh, np.array([node]), mat, dt, lumped)
-        full_codes.add(int(code))
-    assert len(full_codes) == 6
+            (row,) = assert_table_rows(mesh, np.array([node]), mat, dt, lumped)
+        full_rows.add(int(row))
+    assert len(full_rows) == 6
 
 
-def test_lookup_rejects_a_stencil_outside_the_table():
-    """Elements out of Morton order give a node a stencil no voxel lattice has."""
+def test_lookup_does_not_depend_on_the_element_order():
+    """A node's table row and block come from its lattice point and its
+    active voxels, so elements out of Morton order gather the same rows."""
     mesh = column_mesh()
     conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
     table = fem._stencil_table(MaterialParams(), True, 1.0)
     rows = np.unique(conn)
-    fem._lookup(table, conn, rows, len(mesh.node_coords))
-    with pytest.raises(FemError, match="no voxel stencil"):
-        fem._lookup(table, conn[::-1], rows, len(mesh.node_coords))
+    gathered = []
+    for order in (conn, conn[::-1]):
+        idx, blocks = fem._lookup(table, order, rows, mesh.node_coords)
+        gathered.append(fem._gather(table.a, idx, blocks))
+    for field in ("ptr", "cols", "vals"):
+        np.testing.assert_array_equal(getattr(gathered[1], field), getattr(gathered[0], field))
 
 
 def test_assemble_rejects_a_previous_system_it_cannot_carry():

@@ -1,6 +1,7 @@
 """G-code front-end behavior: dialect coverage, state semantics, invariants."""
 
 import math
+import string
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxtherm.gcode import (
+    GcodeError,
     GcodeParseError,
     Toolpath,
     UnsupportedCommandError,
@@ -106,6 +108,26 @@ def test_malformed_number_raises_with_line_number():
     assert ei.value.line_no == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("G1 X1 X3 E1", "word 'X' repeated"),
+    ("G1 x1 X3 E1", "word 'X' repeated"),
+    ("G1 X1e2 E1", "word 'E' repeated"),
+    ("G1 X1e400 Y0 E1", "word 'E' repeated"),
+    ("G" + "1" * 400, "number after 'G' is out of range"),
+    ("G1 X" + "1" * 400 + " E1", "number after 'X' is out of range"),
+], ids=["repeated", "repeated-in-other-case", "exponent", "exponent-past-float",
+        "command-overflow", "coordinate-overflow"])
+def test_repeated_or_overflowing_word_raises_with_line_number(line, message):
+    with pytest.raises(GcodeParseError) as ei:
+        parse_gcode(f"G90\n{line}\n")
+    assert str(ei.value) == f"line 2: {message}"
+
+
+def test_packed_words_parse():
+    tp = parse_gcode("G1X10Y2E0.3\n")
+    assert tp.segments[0].end == (10.0, 2.0, 0.0) and tp.segments[0].extruding
+
+
 def test_unknown_commands_tolerated():
     tp = parse_gcode("M104 S200\nM117 hello world\nT0\nG28\nG1 X1 E1\n")
     assert len(tp.segments) == 1
@@ -159,3 +181,23 @@ def test_random_programs_connectivity_and_flags(prog):
 @given(_program)
 def test_parse_is_deterministic(prog):
     assert parse_gcode(prog) == parse_gcode(prog)
+
+
+# G-code fragments, one of them a number past the float range, and any printable text
+_token = st.one_of(
+    st.sampled_from(["G0", "G1", "G92", "M83", "N7", "X", "Y", "E", "e", "1", ".5", "-",
+                     " ", ";", "(", ")", "\n", "9" * 320]),
+    st.text(alphabet=string.printable, max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_token, max_size=12).map("".join))
+def test_any_short_text_parses_or_names_its_line(text):
+    """Printable text either parses, or fails as a GcodeError that names its
+    line and holds no numpy repr; no other exception escapes."""
+    try:
+        parse_gcode(text)
+    except GcodeError as err:
+        assert str(err).startswith(f"line {err.line_no}: ")
+        assert "np." not in str(err)

@@ -17,6 +17,7 @@ from voxtherm.schedule import (
     VoxelSchedule,
     apply_sparsity,
     build_schedule,
+    format_gcode,
     gen_test_schedule,
     load_schedule,
     parse_schedule,
@@ -286,16 +287,21 @@ def test_gen_shape_exceeding_grid_errors():
 
 def test_raster_gcode_round_trips_cuboid():
     grid = VoxelGrid(dims=(4, 4, 2))
-    gc = gen_test_schedule("raster_gcode", grid, dims=(4, 4, 2))
     direct = gen_test_schedule("cuboid", grid, dims=(4, 4, 2))
-    assert build_schedule(parse_gcode(gc), grid).order == direct.order
+    assert build_schedule(parse_gcode(format_gcode(direct)), grid).order == direct.order
 
 
 def test_raster_gcode_round_trips_sphere_with_offsets():
     grid = VoxelGrid(dims=(8, 8, 8), voxel_size=0.25, origin=(1.0, -2.0, 0.125))
-    gc = gen_test_schedule("raster_gcode", grid, radius=3.2, base_shape="sphere")
     direct = gen_test_schedule("sphere", grid, radius=3.2)
-    assert build_schedule(parse_gcode(gc), grid).order == direct.order
+    assert build_schedule(parse_gcode(format_gcode(direct)), grid).order == direct.order
+
+
+def test_raster_gcode_round_trips_rows_with_gaps():
+    """A thinned row keeps its two ends, which are no run: each gets its own move."""
+    grid = VoxelGrid(dims=(12, 12, 12))
+    sparse = apply_sparsity(gen_test_schedule("sphere", grid, radius=5.0), SparsityPolicy.medium())
+    assert build_schedule(parse_gcode(format_gcode(sparse)), grid).order == sparse.order
 
 
 # --- file round trip ---------------------------------------------------------
