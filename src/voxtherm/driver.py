@@ -66,8 +66,8 @@ class SimConfig:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
         if not (0 < self.dt < math.inf):
             raise DriverError(f"dt must be positive and finite, got {self.dt}")
-        if self.base_level < 0:
-            raise DriverError(f"base_level must be >= 0, got {self.base_level}")
+        if not 0 <= self.base_level <= 19:  # the octree's limit
+            raise DriverError(f"base_level must be in [0, 19], got {self.base_level}")
         if self.max_level is not None and self.max_level < self.base_level:
             raise DriverError(
                 f"max_level {self.max_level} below base_level {self.base_level}"

@@ -13,9 +13,10 @@ free block of the operator, its bed lift and diagonal, and the mass in
 the form its matvec needs. A new voxel writes only the rows of its
 corners. A row depends only on which of its node's 8 surrounding voxels
 are active, in Morton order; the 819 such stencils have their rows in one
-table per setup, built on first use (about 50 ms per process) with the
-kernel the whole-mesh assembly runs, so every bit matches a fresh
-assembly. The whole matrices are built only when asked for.
+table per setup, built on first use by one call of the element kernel the
+whole-mesh assembly runs, over just each stencil's centre rows, so every
+bit matches a fresh assembly. The whole matrices are built only when
+asked for.
 
 All quantities are non-dimensional; the mesh lattice unit is the voxel
 edge.
@@ -211,20 +212,21 @@ def _element_pair(mat: MaterialParams, lumped: bool) -> tuple[np.ndarray, np.nda
     return Me, Ke
 
 
-def _couple(conn: np.ndarray, pair, dt: float, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """M and A = M + dt K of the voxel elements ``conn`` (k, 8) on ``n`` nodes.
+def _couple(rows: np.ndarray, cols: np.ndarray, corners: np.ndarray, pair, dt: float,
+            shape: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """M and A = M + dt K of element rows: row ``rows[s]`` gets corner
+    ``corners[s]``'s row of the voxel element matrices at the 8 columns ``cols[s]``.
 
-    Row r's bits depend only on the (column, value) pairs the elements emit
-    into it, in element order, and on the relative order of the column ids.
-    So any element subset that holds every element touching r, in the same
-    order and under any order-preserving node numbering, rebuilds row r
-    exactly; the duplicate sums and scipy's per-row sort see the same input.
+    A row's bits depend only on the (column, value) pairs emitted into it, in
+    order, and on the relative order of the column ids. So any set of element
+    rows that holds every one emitted into row r, in the same order and under
+    any order-preserving column numbering, rebuilds row r exactly; the
+    duplicate sums and scipy's per-row sort see the same input.
     """
     Me, Ke = pair
-    rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
-    cols = np.repeat(conn[:, None, :], 8, axis=1).ravel()
-    M = sp.coo_matrix((np.tile(Me.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
-    K = sp.coo_matrix((np.tile(Ke.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
+    ij = (np.repeat(rows, 8), cols.ravel())
+    M = sp.coo_matrix((Me[corners].ravel(), ij), shape=shape).tocsr()
+    K = sp.coo_matrix((Ke[corners].ravel(), ij), shape=shape).tocsr()
     return M, (M + dt * K).tocsr()
 
 
@@ -326,11 +328,6 @@ def _segments(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out, np.arange(out[-1]) + np.repeat(ptr[idx] - out[:-1], lens)
 
 
-# Stencils per ``_couple`` call while the table is built: one call for all
-# 819 would hold about 17 MB of element entries at once.
-_BATCH = 128
-
-
 @functools.lru_cache(maxsize=16)
 def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTable:
     """The rows of every stencil, read-only.
@@ -339,8 +336,9 @@ def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTabl
     it, in element (Morton) order. In Morton order the 8 voxels around a
     node sort by anchor, lower first, lexicographically under one axis
     priority (see ``_lookup``), so a stencil is one of 6 priorities times
-    255 voxel sets, 819 distinct ones. ``_couple`` builds their rows, each
-    stencil's elements in their order and numbered in a block of their own.
+    255 voxel sets, 819 distinct ones. One ``_couple`` call builds their
+    rows: table row s gets, from each element of stencil s in its order,
+    that element's row at the stencil's corner, its columns as block ids.
     A row so sees the (column, value) pairs it gets in any larger assembly,
     in the same order, so by ``_couple``'s invariant it has the whole-mesh
     bits.
@@ -352,19 +350,10 @@ def _stencil_table(mat: MaterialParams, lumped: bool, dt: float) -> _StencilTabl
         for mask in range(1, 256):
             stencil = tuple(j for j in order if mask >> j & 1)
             index[3 * priority[0] + priority[1], mask] = row_of.setdefault(stencil, len(row_of))
-    stencils, pair = list(row_of), _element_pair(mat, lumped)
-    lens, cols, vals = ([], []), ([], []), ([], [])  # per batch, for M and for A
-    for lo in range(0, len(stencils), _BATCH):
-        batch = stencils[lo:lo + _BATCH]
-        block = np.arange(len(batch))
-        conn = np.concatenate([_BLOCK_IDS[list(s)] + 27 * k for k, s in enumerate(batch)])
-        for i, X in enumerate(_couple(conn, pair, dt, 27 * len(batch))):
-            ptr, pos = _segments(X.indptr, 27 * block + _CENTER)
-            lens[i].append(np.diff(ptr))
-            cols[i].append(X.indices[pos] - 27 * np.repeat(block, lens[i][-1]))
-            vals[i].append(X.data[pos])
-    m, a = (_Rows(np.concatenate(([0], np.cumsum(np.concatenate(lens[i])))),
-                  np.concatenate(cols[i]), np.concatenate(vals[i])) for i in (0, 1))
+    corners = np.concatenate(list(row_of))
+    rows = np.repeat(np.arange(len(row_of)), [len(s) for s in row_of])
+    m, a = (_Rows(X.indptr, X.indices, X.data) for X in _couple(
+        rows, _BLOCK_IDS[corners], corners, _element_pair(mat, lumped), dt, (len(row_of), 27)))
     table = _StencilTable(index, m, a, m.vals[m.cols == _CENTER], a.vals[a.cols == _CENTER])
     for arr in (table.index, table.m_diag, table.a_diag, *vars(m).values(), *vars(a).values()):
         arr.setflags(write=False)
@@ -608,7 +597,9 @@ class LinearSystem:
     @functools.cached_property
     def _whole(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         mat, lumped, dt, _ = self.operator.setup
-        return _couple(self.elements, _element_pair(mat, lumped), dt, self.n)
+        conn = self.elements
+        return _couple(conn.ravel(), np.repeat(conn, 8, axis=0), np.tile(np.arange(8), len(conn)),
+                       _element_pair(mat, lumped), dt, (self.n, self.n))
 
     @property
     def a(self) -> sp.csr_matrix:

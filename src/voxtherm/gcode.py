@@ -2,9 +2,11 @@
 
 Supports the slicer subset that matters for deposition ordering: linear
 moves (G0/G1), absolute/relative positioning (G90/G91), extruder mode
-overrides (M82/M83), datum shifts (G92) and comments. Arcs (G2/G3) and
-inch units (G20) are rejected; unrecognized commands are ignored so real
-slicer output (fan, temperature, homing lines) parses cleanly.
+overrides (M82/M83), datum shifts (G92) and comments. Arcs (G2/G3),
+inch units (G20) and fractional G numbers (G1.5) are rejected, and so is
+a second G or M word on a line whose command is acted on or rejected;
+unrecognized commands are ignored so real slicer output (fan,
+temperature, homing lines) parses cleanly.
 
 A move becomes a :class:`ToolpathSegment`. A segment is *extruding* iff
 it is a G1 with strictly positive net filament advance; retractions and
@@ -53,6 +55,10 @@ class UnsupportedCommandError(GcodeError):
 _WORD_RE = re.compile(r"([A-Za-z])\s*([-+]?(?:\d+(?:\.\d*)?|\.\d+))")
 # Any letter immediately introducing a field, used to detect malformed numbers.
 _LETTER_RE = re.compile(r"[A-Za-z]")
+# A command word's letter, which may not follow the command on a line the parser acts on.
+_COMMAND_RE = re.compile(r"[GMgm]")
+# Command numbers the parser acts on (or rejects), by letter; other commands are ignored.
+_ACTED_ON = {"G": {0, 1, 2, 3, 20, 21, 90, 91, 92}, "M": {82, 83}}
 
 
 @dataclass
@@ -197,8 +203,20 @@ def parse_gcode(text: str) -> Toolpath:
                 continue
             body = rest
         letter = m.group(1).upper()
-        number = int(_number(m, line_no))
+        value = _number(m, line_no)
+        if not value.is_integer():
+            if letter == "G":
+                raise UnsupportedCommandError(f"G{m.group(2)}: fractional G numbers not supported",
+                                              line_no)
+            continue  # fractional M codes (M862.3, ...) and other letters are tolerated
+        number = int(value)
         args = body[m.end():]
+        if number in _ACTED_ON.get(letter, ()):
+            second = _COMMAND_RE.search(args)
+            if second is not None:
+                raise GcodeParseError(
+                    f"second command word '{second.group().upper()}' on a {letter}{number} line",
+                    line_no)
 
         if letter == "G":
             if number in (0, 1):

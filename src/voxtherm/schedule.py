@@ -111,9 +111,9 @@ class VoxelSchedule:
         seen = set()
         for v in self.order:
             if v in seen:
-                raise ScheduleError(f"duplicate voxel {v} in schedule")
+                raise ScheduleError(f"duplicate voxel {tuple(map(int, v))} in schedule")
             if not self.grid.in_bounds(v):
-                raise ScheduleError(f"voxel {v} outside grid {self.grid.dims}")
+                raise ScheduleError(f"voxel {tuple(map(int, v))} outside grid {self.grid.dims}")
             seen.add(v)
 
 
@@ -378,6 +378,7 @@ def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:
     except ValueError:  # a field that is not a number
         raise ScheduleError(f"{path}:1: malformed grid header {lines[0]!r}") from None
     order: list[VoxelId] = []
+    seen: set[VoxelId] = set()
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -385,10 +386,14 @@ def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:
             i, j, k = (int(tok) for tok in line.split())
         except ValueError:
             raise ScheduleError(f"{path}:{ln}: malformed voxel line {line!r}") from None
-        order.append(VoxelId(i, j, k))
-    sched = VoxelSchedule(grid, order)
-    sched.validate()
-    return sched
+        v = VoxelId(i, j, k)
+        if v in seen:
+            raise ScheduleError(f"{path}:{ln}: duplicate voxel {tuple(v)}")
+        if not grid.in_bounds(v):
+            raise ScheduleError(f"{path}:{ln}: voxel {tuple(v)} outside grid {grid.dims}")
+        seen.add(v)
+        order.append(v)
+    return VoxelSchedule(grid, order)
 
 
 def load_schedule(path) -> VoxelSchedule:

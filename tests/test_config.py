@@ -142,6 +142,16 @@ def test_max_level_past_the_octree_limit_rejected():
     assert parse_config("[grid]\nmax_level = 19\n").max_level == 19
 
 
+def test_base_level_past_the_octree_limit_rejected():
+    """A base level the octree cannot hold fails where the config is read,
+    naming the file, not when the print starts."""
+    with pytest.raises(ConfigError, match=r"^run\.cfg: base_level must be in \[0, 19\], got 25$"):
+        parse_config("[grid]\nbase_level = 25\n", source="run.cfg")
+    with pytest.raises(ConfigError, match=r"^run\.cfg: base_level must be in \[0, 19\], got -1$"):
+        parse_config("[grid]\nbase_level = -1\n", source="run.cfg")
+    assert parse_config("[grid]\nbase_level = 19\n").base_level == 19
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[physics\]"):
         parse_config("[physics]\nkappa = 1.0\n")

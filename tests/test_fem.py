@@ -438,19 +438,24 @@ def test_with_rhs_drops_the_latent_load():
 # --- the carried operator ---------------------------------------------------------
 
 
-def whole_table_operator(mesh, mat, dt, lumped):
-    """M and M + dt K by one coo -> csr pass over every active element, on the
-    full node table: the assembly before the operator was held on active nodes."""
-    conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
+def coo_operator(conn, n, mat, dt, lumped):
+    """M and M + dt K of the voxel elements ``conn`` on ``n`` nodes by one
+    coo -> csr pass, with the element matrices from ``element_matrices``."""
     rows = np.repeat(conn[:, :, None], 8, axis=2).ravel()
     cols = np.repeat(conn[:, None, :], 8, axis=1).ravel()
     Me, Ke = element_matrices(1.0, mat)
     if lumped:
         Me = lump(Me)
-    m = len(mesh.node_coords)
-    M = sp.coo_matrix((np.tile(Me.ravel(), len(conn)), (rows, cols)), shape=(m, m)).tocsr()
-    K = sp.coo_matrix((np.tile(Ke.ravel(), len(conn)), (rows, cols)), shape=(m, m)).tocsr()
+    M = sp.coo_matrix((np.tile(Me.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
+    K = sp.coo_matrix((np.tile(Ke.ravel(), len(conn)), (rows, cols)), shape=(n, n)).tocsr()
     return M, (M + dt * K).tocsr()
+
+
+def whole_table_operator(mesh, mat, dt, lumped):
+    """``coo_operator`` over every active element, on the full node table: the
+    assembly before the operator was held on active nodes."""
+    conn = mesh.leaf_nodes[np.flatnonzero(mesh.active)]
+    return coo_operator(conn, len(mesh.node_coords), mat, dt, lumped)
 
 
 def assert_same_bits(x, y):
@@ -555,15 +560,15 @@ def test_carried_operator_matches_whole_mesh_assembly(mode, lumped):
 
 def patch_rows(mesh, rows, mat, dt, lumped):
     """Rows ``rows`` of M and A by the 27-element patch rebuild, kept as the
-    reference: ``_couple`` on every active element touching them, in leaf
-    order, numbered locally in node order. Returns per row the (columns,
+    reference: ``coo_operator`` on every active element touching them, in
+    leaf order, numbered locally in node order. Returns per row the (columns,
     values) of M and of A, columns as node ids."""
     act = np.flatnonzero(mesh.active)
     touched = np.zeros(len(mesh.node_coords), dtype=bool)
     touched[rows] = True
     near = act[touched[mesh.leaf_nodes[act]].any(axis=1)]
     local, conn = np.unique(mesh.leaf_nodes[near], return_inverse=True)
-    M, A = fem._couple(conn.reshape(-1, 8), fem._element_pair(mat, lumped), dt, len(local))
+    M, A = coo_operator(conn.reshape(-1, 8), len(local), mat, dt, lumped)
     out = []
     for k in np.searchsorted(local, rows):
         m, a = slice(M.indptr[k], M.indptr[k + 1]), slice(A.indptr[k], A.indptr[k + 1])

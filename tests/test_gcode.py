@@ -123,13 +123,36 @@ def test_repeated_or_overflowing_word_raises_with_line_number(line, message):
     assert str(ei.value) == f"line 2: {message}"
 
 
+@pytest.mark.parametrize("line, error, message", [
+    ("G90 G1 X10 E1", GcodeParseError, "second command word 'G' on a G90 line"),
+    ("G1 X1 G0 Y2 E1", GcodeParseError, "second command word 'G' on a G1 line"),
+    ("G1 X1 M104 S200 E1", GcodeParseError, "second command word 'M' on a G1 line"),
+    ("G1.5 X2 E1", UnsupportedCommandError, "G1.5: fractional G numbers not supported"),
+    ("G0.9 X3", UnsupportedCommandError, "G0.9: fractional G numbers not supported"),
+], ids=["mode-then-move", "move-then-move", "move-then-m-code", "fractional-g1",
+        "fractional-g0"])
+def test_command_word_is_never_absorbed_or_truncated(line, error, message):
+    """A second command word on a line the parser acts on, or a G number
+    that is not an integer, fails with its line instead of being dropped or
+    read as another command."""
+    with pytest.raises(error) as ei:
+        parse_gcode(f"G90\n{line}\n")
+    assert str(ei.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("line", ["G01 X1 E1", "G1.0 X1 E1", "G1. X1 E1"])
+def test_integer_g_numbers_in_any_spelling_mean_their_command(line):
+    assert parse_gcode(line).segments == parse_gcode("G1 X1 E1").segments
+
+
 def test_packed_words_parse():
     tp = parse_gcode("G1X10Y2E0.3\n")
     assert tp.segments[0].end == (10.0, 2.0, 0.0) and tp.segments[0].extruding
 
 
 def test_unknown_commands_tolerated():
-    tp = parse_gcode("M104 S200\nM117 hello world\nT0\nG28\nG1 X1 E1\n")
+    tp = parse_gcode('M104 S200\nM117 hello world\nT0\nG28\nM862.3 P "MK3S"\nM862.1 P0.4\n'
+                     "M117 Printing G1 part\nG1 X1 E1\n")
     assert len(tp.segments) == 1
 
 

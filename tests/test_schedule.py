@@ -1,6 +1,7 @@
 """Voxelizer and schedule transforms against independent oracles."""
 
 import math
+import string
 
 import numpy as np
 import pytest
@@ -342,6 +343,55 @@ def test_header_errors_name_the_file_and_line(tmp_path, header, message):
     with pytest.raises(ScheduleError) as err:
         load_schedule(p)
     assert str(err.value) == f"{p}:1: {message}"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0 0 0\n1 0 0\n\n0 0 0\n", "s.txt:5: duplicate voxel (0, 0, 0)"),
+    ("0 0 0\n9 0 0\n", "s.txt:3: voxel (9, 0, 0) outside grid (4, 4, 4)"),
+    ("0 -1 0\n", "s.txt:2: voxel (0, -1, 0) outside grid (4, 4, 4)"),
+], ids=["duplicate", "past-the-grid", "negative"])
+def test_voxel_errors_name_the_file_and_line(body, message):
+    with pytest.raises(ScheduleError) as err:
+        parse_schedule("grid 4 4 4 1.0 0.0 0.0 0.0\n" + body, source="s.txt")
+    assert str(err.value) == message
+
+
+def test_validate_names_voxels_as_plain_tuples():
+    grid = VoxelGrid(dims=(2, 2, 2))
+    v = VoxelId(np.int64(1), np.int64(0), np.int64(0))
+    with pytest.raises(ScheduleError, match=r"^duplicate voxel \(1, 0, 0\) in schedule$"):
+        VoxelSchedule(grid, [v, v]).validate()
+    with pytest.raises(ScheduleError, match=r"^voxel \(3, 0, 0\) outside grid \(2, 2, 2\)$"):
+        VoxelSchedule(grid, [VoxelId(3, 0, 0)]).validate()
+
+
+# a header (good, rejected, malformed or none), then voxel-line fragments, one
+# of them a number past the float range, and any printable text
+_schedule_text = st.builds(
+    lambda header, tokens: header + "".join(tokens),
+    st.sampled_from(["grid 4 4 4 1.0 0 0 0\n", "grid 4 4 0 1.0 0 0 0\n", "grid 4 x\n", ""]),
+    st.lists(st.one_of(
+        st.sampled_from(["0 0 0\n", "1 2 3\n", "9 0 0\n", "0 -1 0\n", "grid ", "0", "-1",
+                         "1.5", "nan", " ", "\n", "9" * 400]),
+        st.text(alphabet=string.printable, max_size=2),
+    ), max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_text)
+def test_any_short_schedule_text_parses_or_names_its_line(text):
+    """Printable schedule text either parses into a valid schedule, or fails
+    as a ScheduleError that names its file and line and holds no numpy or
+    VoxelId repr; no other exception escapes."""
+    try:
+        sched = parse_schedule(text, source="s.txt")
+    except ScheduleError as err:
+        where, _, message = str(err).partition(": ")
+        assert where.startswith("s.txt:") and where[len("s.txt:"):].isdigit(), str(err)
+        assert "np." not in message and "VoxelId(" not in message
+    else:
+        sched.validate()
 
 
 def test_grid_validation():
