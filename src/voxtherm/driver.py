@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fem
 from .fem import BoundarySpec, MaterialParams, SolverError, ThermalState
-from .octree import OctreeMesh
+from .octree import MAX_LEVEL, OctreeMesh
 from .schedule import SparsityPolicy, VoxelSchedule, apply_sparsity
 
 __all__ = [
@@ -66,14 +66,14 @@ class SimConfig:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
         if not (0 < self.dt < math.inf):
             raise DriverError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.base_level <= 19:  # the octree's limit
-            raise DriverError(f"base_level must be in [0, 19], got {self.base_level}")
+        if not 0 <= self.base_level <= MAX_LEVEL:
+            raise DriverError(f"base_level must be in [0, {MAX_LEVEL}], got {self.base_level}")
         if self.max_level is not None and self.max_level < self.base_level:
             raise DriverError(
                 f"max_level {self.max_level} below base_level {self.base_level}"
             )
-        if self.max_level is not None and self.max_level > 19:  # the octree's limit
-            raise DriverError(f"max_level must be at most 19, got {self.max_level}")
+        if self.max_level is not None and self.max_level > MAX_LEVEL:
+            raise DriverError(f"max_level must be at most {MAX_LEVEL}, got {self.max_level}")
         if not (0 < self.solver_tol < math.inf):
             raise DriverError(
                 f"solver_tol must be positive and finite, got {self.solver_tol}"

@@ -567,10 +567,10 @@ class LinearSystem:
 
     ``prescribed`` is the solution's template on the full node table: each
     pinned node's value, 0 at the unknowns. Every node not in ``free`` is
-    pinned, so ``dirichlet_idx`` and ``dirichlet_val`` are built from the
-    two on demand. ``a`` (M + dt K over the active ``elements``) and
-    ``mass`` are full-node-table views, built on demand by one whole-mesh
-    assembly.
+    pinned, so ``dirichlet_idx`` is built from ``free`` on demand, and
+    ``prescribed[dirichlet_idx]`` gives the pinned values. ``a`` (M + dt K
+    over the active ``elements``) and ``mass`` are full-node-table views,
+    built on demand by one whole-mesh assembly.
     """
 
     operator: _Operator
@@ -588,11 +588,6 @@ class LinearSystem:
     def dirichlet_idx(self) -> np.ndarray:
         """Ids of the pinned nodes: every node that is not an unknown."""
         return np.delete(np.arange(self.n), self.free)
-
-    @property
-    def dirichlet_val(self) -> np.ndarray:
-        """Their prescribed values."""
-        return self.prescribed[self.dirichlet_idx]
 
     @functools.cached_property
     def _whole(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -50,7 +50,8 @@ CHILD_OFFSETS = np.array(
 )
 
 _LEVEL_BITS = 6  # level field packed into the low bits of the composite key
-_NODE_BITS = 21  # bits per axis in a packed node key; holds 2**19 inclusive
+MAX_LEVEL = 19  # deepest root; a voxel lattice spans at most 2**MAX_LEVEL per axis
+_NODE_BITS = 21  # bits per axis in a packed node key; holds 2**MAX_LEVEL inclusive
 
 
 class MeshError(ValueError):
@@ -109,8 +110,8 @@ class OctreeMesh:
     """Mutable linearized octree; single writer, no coarsening."""
 
     def __init__(self, max_level: int, base_level: int = 2):
-        if max_level < 0 or max_level > 19:
-            raise MeshError(f"max_level must be in [0, 19], got {max_level}")
+        if max_level < 0 or max_level > MAX_LEVEL:
+            raise MeshError(f"max_level must be in [0, {MAX_LEVEL}], got {max_level}")
         if not (0 <= base_level <= max_level):
             raise MeshError(
                 f"base_level must be in [0, max_level={max_level}], got {base_level}"

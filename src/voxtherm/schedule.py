@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .gcode import Toolpath, ToolpathSegment, parse_gcode
+from .octree import MAX_LEVEL
 
 __all__ = [
     "VoxelId",
@@ -62,6 +64,8 @@ class VoxelGrid:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
             raise ScheduleError(f"grid dims must be positive integers, got {self.dims}")
+        if any(int(d) > 1 << MAX_LEVEL for d in self.dims):  # the octree's limit
+            raise ScheduleError(f"grid dims must be at most {1 << MAX_LEVEL}, got {self.dims}")
         if not (0 < self.voxel_size < math.inf):
             raise ScheduleError(f"voxel_size must be positive and finite, got {self.voxel_size}")
         if not all(math.isfinite(o) for o in self.origin):
@@ -118,7 +122,8 @@ class VoxelSchedule:
 
 
 def rasterize_segment(seg: ToolpathSegment, grid: VoxelGrid) -> list[VoxelId]:
-    """Voxels visited by one extruding segment, consecutive duplicates removed.
+    """Voxels visited by one extruding segment: each voxel once, in the order
+    the samples visit it.
 
     Samples equidistant points along the segment no further apart than half
     a voxel edge, both endpoints included.
@@ -139,27 +144,18 @@ def rasterize_segment(seg: ToolpathSegment, grid: VoxelGrid) -> list[VoxelId]:
     pts = start[None, :] + ts[:, None] * (end - start)[None, :]
     idx = np.floor((pts - np.asarray(grid.origin)) / grid.voxel_size).astype(np.int64)
     np.clip(idx, 0, np.asarray(grid.dims) - 1, out=idx)
-
-    out: list[VoxelId] = []
-    for row in idx:
-        v = VoxelId(int(row[0]), int(row[1]), int(row[2]))
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
+    # Each axis's index is monotone along the samples (t rises, the step along
+    # the axis has a fixed sign, floor and clip are monotone), so a segment
+    # never returns to a voxel it has left: every repeat is a consecutive one.
+    return list(dict.fromkeys(VoxelId(*row) for row in idx.tolist()))
 
 
 def build_schedule(tp: Toolpath, grid: VoxelGrid) -> VoxelSchedule:
     """Global first-visit deposition order over all extruding segments."""
-    order: list[VoxelId] = []
-    seen: set[VoxelId] = set()
-    for seg in tp.segments:
-        if not seg.extruding:
-            continue
-        for v in rasterize_segment(seg, grid):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    return VoxelSchedule(grid=grid, order=order)
+    visits = dict.fromkeys(
+        v for seg in tp.segments if seg.extruding for v in rasterize_segment(seg, grid)
+    )
+    return VoxelSchedule(grid=grid, order=list(visits))
 
 
 @dataclass(frozen=True)
@@ -199,40 +195,27 @@ class SparsityPolicy:
 
 def apply_sparsity(schedule: VoxelSchedule, policy: SparsityPolicy) -> VoxelSchedule:
     """Drop infill rows inside the policy band, preserving relative order."""
-    if policy.skip == 0 or not schedule.order:
-        return VoxelSchedule(schedule.grid, list(schedule.order))
-
     nz = schedule.nz_used
     lo, hi = policy.band_lo * nz, policy.band_hi * nz
 
-    rows_by_layer: dict[int, list[int]] = {}
-    for v in schedule.order:
+    ends: dict[tuple[int, int], tuple[int, int]] = {}  # band row (k, j) -> first, last pos
+    for pos, v in enumerate(schedule.order):
         if lo <= v.k <= hi:
-            js = rows_by_layer.setdefault(v.k, [])
-            if v.j not in js:
-                js.append(v.j)
-    row_rank = {
-        (k, j): rank
-        for k, js in rows_by_layer.items()
-        for rank, j in enumerate(sorted(js))
+            first, _ = ends.get((v.k, v.j), (pos, pos))
+            ends[v.k, v.j] = (first, pos)
+    # a row's rank is its place by j among the band rows of its layer
+    rank = {
+        row: r
+        for _, rows in groupby(sorted(ends), key=lambda row: row[0])
+        for r, row in enumerate(rows)
     }
-
-    first_last: dict[tuple[int, int], tuple[int, int]] = {}
-    for pos, v in enumerate(schedule.order):
-        key = (v.k, v.j)
-        if key in row_rank:
-            f, _ = first_last.get(key, (pos, pos))
-            first_last[key] = (f, pos)
-
-    kept: list[VoxelId] = []
-    for pos, v in enumerate(schedule.order):
-        key = (v.k, v.j)
-        rank = row_rank.get(key)
-        if rank is None or rank % (policy.skip + 1) == 0:
-            kept.append(v)
-        elif policy.preserve_row_ends and pos in first_last[key]:
-            kept.append(v)
-    return VoxelSchedule(schedule.grid, kept)
+    # rows outside the band rank 0, so they are kept whole
+    return VoxelSchedule(schedule.grid, [
+        v
+        for pos, v in enumerate(schedule.order)
+        if rank.get((v.k, v.j), 0) % (policy.skip + 1) == 0
+        or (policy.preserve_row_ends and pos in ends[v.k, v.j])
+    ])
 
 
 # --- procedural generators -------------------------------------------------
@@ -377,8 +360,7 @@ def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:
         raise ScheduleError(f"{path}:1: {err}") from None
     except ValueError:  # a field that is not a number
         raise ScheduleError(f"{path}:1: malformed grid header {lines[0]!r}") from None
-    order: list[VoxelId] = []
-    seen: set[VoxelId] = set()
+    order: dict[VoxelId, None] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -387,13 +369,12 @@ def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:
         except ValueError:
             raise ScheduleError(f"{path}:{ln}: malformed voxel line {line!r}") from None
         v = VoxelId(i, j, k)
-        if v in seen:
+        if v in order:
             raise ScheduleError(f"{path}:{ln}: duplicate voxel {tuple(v)}")
         if not grid.in_bounds(v):
             raise ScheduleError(f"{path}:{ln}: voxel {tuple(v)} outside grid {grid.dims}")
-        seen.add(v)
-        order.append(v)
-    return VoxelSchedule(grid, order)
+        order[v] = None
+    return VoxelSchedule(grid, list(order))
 
 
 def load_schedule(path) -> VoxelSchedule:

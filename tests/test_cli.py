@@ -1,13 +1,19 @@
 """CLI contract: subcommands, exit codes, pipelines, stage-named errors."""
 
+import contextlib
 import hashlib
 import io
 import os
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voxtherm
 from voxtherm.cli import main
@@ -159,6 +165,18 @@ def test_non_finite_grid_exits_one(tmp_path, capsys):
     assert f"{sched}:1:" in err
 
 
+def test_grid_past_the_octree_limit_exits_one(tmp_path, capsys):
+    """A grid the octree cannot hold fails at grid setup, in voxelize, not
+    later as a max_level the user never set."""
+    gcode = tmp_path / "bar.gcode"
+    gcode.write_text("G1 X1 E1\n")
+    assert main(["voxelize", str(gcode), "--grid", "524289", "1", "1",
+                 "-o", str(tmp_path / "x.sched")]) == 1
+    err = capsys.readouterr().err
+    assert "grid setup failed: grid dims must be at most 524288, got (524289, 1, 1)" in err
+    assert not (tmp_path / "x.sched").exists()
+
+
 def test_non_integer_grid_dimension_exits_one(tmp_path, capsys):
     sched = tmp_path / "bad.sched"
     sched.write_text("grid 4 x 4 1.0 0 0 0\n0 0 0\n")
@@ -285,3 +303,69 @@ def test_cli_import_leaves_the_stencil_table_unbuilt():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]
+
+
+# Argv for each command: whole option groups it accepts, with good and bad
+# values, and noise tokens. Numbers stay small, so no argv can ask for a large
+# grid, solid or print. Free text has no digits, dots or path separators, so it
+# names no number, no "np." and no file outside the example's directory.
+_GRID = [["--grid", "4", "4", "4"], ["--grid", "0", "4", "4"], ["--grid", "524289", "1", "1"],
+         ["--voxel-size", "0.5"], ["--voxel-size", "nan"], ["--origin", "0", "0", "0"],
+         ["--origin", "0", "inf", "0"], ["-o", "out"], ["-o", "-"]]
+_GEN = [["--shape", "cuboid"], ["--shape", "sphere"], ["--dims", "2", "1", "1"],
+        ["--dims", "0", "1", "1"], ["--offset", "1", "0", "0"], ["--offset", "3", "3", "3"],
+        ["--radius", "1.5"], ["--radius", "9"], ["--radius", "nan"], ["--center", "2", "2", "2"],
+        ["--emit", "gcode"], ["--emit", "schedule"]]
+_FREE = "".join(c for c in string.printable if c not in string.digits + "./\\~")
+_TOKENS = ["voxelize", "simulate", "gen", "mesh-info", "--grid", "--voxel-size", "--origin",
+           "-o", "--schedule", "--config", "--shape", "--dims", "--radius", "--emit",
+           "--base-level", "--dump", "-h", "-", "0", "1", "4", "-1", "0.5", "nan"]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {"part.gcode": "G0 X0.5 Y0.5 Z0.5\nG1 X2.5 E1\n",
+             "part.sched": "grid 4 4 4 1.0 0.0 0.0 0.0\n0 0 0\n1 0 0\n",
+             "run.cfg": "[schedule]\nsteps_per_voxel = 1\n",
+             "bad.cfg": "[physics]\n"}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in [*files, "absent"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_short_argv_exits_with_a_code_and_no_traceback(argv_files, data):
+    """Short argv lists over all four commands return 0, 1 or 2 and never
+    raise; stderr holds no traceback and no numpy repr."""
+    gcode, sched, cfg, bad_cfg, absent = argv_files
+    positional = {"voxelize": [gcode, "-", absent], "mesh-info": [sched, "-", absent]}
+    required = {"voxelize": ["--grid", "4", "4", "4", "-o", "out"],
+                "simulate": ["--schedule", sched, "-o", "out"],
+                "gen": ["--shape", "cuboid", "--dims", "2", "1", "1", "--grid", "4", "4", "4",
+                        "-o", "out"],
+                "mesh-info": []}
+    options = {"voxelize": _GRID, "gen": _GRID + _GEN,
+               "simulate": [["--schedule", absent], ["--config", cfg], ["--config", bad_cfg]],
+               "mesh-info": [["--base-level", "1"], ["--base-level", "3"], ["--dump"]]}
+    argv = []
+    command = data.draw(st.sampled_from([*options, None]))
+    if command:
+        argv.append(command)
+        if command in positional:
+            argv += data.draw(st.lists(st.sampled_from(positional[command]), max_size=1))
+        argv += required[command] if data.draw(st.integers(0, 3)) else []
+        argv += sum(data.draw(st.lists(st.sampled_from(options[command]), max_size=4)), [])
+    noise = data.draw(st.lists(st.one_of(st.sampled_from([*_TOKENS, *argv_files]),
+                                         st.text(alphabet=_FREE, min_size=1, max_size=3)),
+                               max_size=1))
+    for token in noise:
+        argv.insert(data.draw(st.integers(0, len(argv))), token)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(Path(sched).read_text())):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue() and "np." not in err.getvalue(), argv

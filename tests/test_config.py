@@ -1,8 +1,13 @@
 """Config document parsing: schema enforcement and round-trip identity."""
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxtherm.config import (
+    _SCHEMA,
     ConfigError,
     dump_config,
     load_config,
@@ -233,3 +238,40 @@ def test_file_round_trip(tmp_path):
 def test_load_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.cfg")
+
+
+# Config text: sections of key lines drawn from the schema (mostly the
+# section's own keys, with the driver's limits among the values), unknown
+# sections and keys, and printable free text without a dot, so "np." in a
+# message can only come from the parser.
+_KEYS = sorted({key for keys in _SCHEMA.values() for key in keys} | {"x"})
+_VALUES = ["0", "1", "3", "19", "20", "-1", "auto", "0.5", "1e-12", "1e400", "nan", "true",
+           "false", "initial", "held", "0.3, 1.0", "0.5 0.5", "part", ""]
+_FREE = st.text(alphabet=string.printable.replace(".", ""), max_size=3)
+
+
+def _section(name):
+    keys = st.one_of(st.sampled_from(list(_SCHEMA.get(name, ["x"]))), st.sampled_from(_KEYS))
+    line = st.builds("{} = {}{}\n".format, keys, st.sampled_from(_VALUES),
+                     st.one_of(st.just(""), _FREE))
+    return st.lists(line, max_size=3).map(lambda lines: f"[{name}]\n" + "".join(lines))
+
+
+_block = st.sampled_from([*_SCHEMA, "DEFAULT", "x"]).flatmap(_section)
+_config_text = st.builds(lambda first, rest: first + "".join(rest),
+                         _block, st.lists(st.one_of(_block, _FREE), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_text)
+def test_any_short_config_text_parses_or_names_its_source(text):
+    """Config text either parses into a SimConfig that dump_config writes back
+    unchanged, or fails as a ConfigError that names its source and holds no
+    numpy repr; no other exception escapes."""
+    try:
+        cfg = parse_config(text, source="c.cfg")
+    except ConfigError as err:
+        assert str(err).startswith("c.cfg: ") and "np." not in str(err), str(err)
+    else:
+        assert isinstance(cfg, SimConfig)
+        assert parse_config(dump_config(cfg)) == cfg

@@ -68,7 +68,7 @@ def oracle_dense_solve(system):
     """Eliminate Dirichlet rows densely, then LU-solve."""
     A = system.a.toarray()
     g = np.zeros(system.n)
-    g[system.dirichlet_idx] = system.dirichlet_val
+    g[system.dirichlet_idx] = system.prescribed[system.dirichlet_idx]
     free = np.setdiff1d(np.arange(system.n), system.dirichlet_idx)
     x = g.copy()
     x[free] = np.linalg.solve(A[np.ix_(free, free)], (system.b - A @ g)[free])
@@ -226,7 +226,7 @@ def test_column_solution_matches_dense_oracle():
     assert iters > 0
     np.testing.assert_allclose(x, oracle_dense_solve(system), rtol=0, atol=1e-11)
     # prescriptions are carried exactly
-    np.testing.assert_array_equal(x[system.dirichlet_idx], system.dirichlet_val)
+    np.testing.assert_array_equal(x[system.dirichlet_idx], system.prescribed[system.dirichlet_idx])
 
 
 def test_warm_start_with_exact_solution_converges_immediately():

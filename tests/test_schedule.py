@@ -32,11 +32,12 @@ from voxtherm.schedule import (
 # included), floor each point into the grid, keep first visits.
 
 
-def dense_voxels(seg, grid):
+def dense_voxels(seg, grid, per_edge=100):
+    """Floored samples ``per_edge`` to a voxel edge, consecutive repeats removed."""
     start = np.asarray(seg.start, float)
     end = np.asarray(seg.end, float)
     length = float(np.linalg.norm(end - start))
-    n = max(1, math.ceil(100.0 * length / grid.voxel_size))
+    n = max(1, math.ceil(per_edge * length / grid.voxel_size))
     out = []
     for t in np.linspace(0.0, 1.0, n + 1):
         p = start + t * (end - start)
@@ -140,6 +141,27 @@ def test_offset_origin_and_fractional_voxel_size():
     assert rasterize_segment(seg, grid) == dense_voxels(seg, grid)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 9)] * 3),
+    voxel_size=st.sampled_from([0.4, 1.0, 2.5]),
+    origin=st.tuples(*[st.floats(-5, 5)] * 3),
+    ends=st.tuples(*[st.floats(0, 1)] * 6),
+)
+def test_oblique_segments_never_return_to_a_voxel(dims, voxel_size, origin, ends):
+    """Along a straight segment the floored samples, consecutive repeats
+    removed, hold no repeat, so dropping every repeat drops only consecutive
+    ones; rasterize_segment is that walk at two samples per voxel edge."""
+    grid = VoxelGrid(dims=dims, voxel_size=voxel_size, origin=origin)
+    extent = np.asarray(dims) * voxel_size
+    a, b = (np.asarray(origin) + np.asarray(f) * extent for f in (ends[:3], ends[3:]))
+    seg = _seg(a.tolist(), b.tolist())
+    for per_edge in (2, 100):
+        walk = dense_voxels(seg, grid, per_edge)
+        assert len(set(walk)) == len(walk)
+    assert rasterize_segment(seg, grid) == dense_voxels(seg, grid, 2)
+
+
 # --- build_schedule ----------------------------------------------------------
 
 
@@ -230,21 +252,55 @@ def test_sparsity_output_is_subsequence():
     out.validate()
 
 
-@settings(max_examples=40, deadline=None)
+def sparsity_oracle(order, policy):
+    """Thinning spelled out voxel by voxel: a band voxel's rank is the rank of
+    its row j among the band rows of its layer k, and its row's ends are the
+    first and last positions of that row in the order."""
+    nz = max((v.k for v in order), default=-1) + 1
+    lo, hi = policy.band_lo * nz, policy.band_hi * nz
+    kept = []
+    for pos, v in enumerate(order):
+        if lo <= v.k <= hi:
+            rows = sorted({u.j for u in order if u.k == v.k})
+            positions = [p for p, u in enumerate(order) if (u.k, u.j) == (v.k, v.j)]
+            thinned = rows.index(v.j) % (policy.skip + 1) != 0
+            row_end = pos in (positions[0], positions[-1])
+            if thinned and not (policy.preserve_row_ends and row_end):
+                continue
+        kept.append(v)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     skip=st.integers(0, 5),
     lo=st.floats(0, 1),
     hi=st.floats(0, 1),
     preserve=st.booleans(),
+    dims=st.tuples(*[st.integers(1, 6)] * 3),
+    fill=st.floats(0, 1),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_sparsity_properties_random_policies(skip, lo, hi, preserve):
+def test_sparsity_properties_random_policies(skip, lo, hi, preserve, dims, fill, shuffled, seed):
+    """On raster and shuffled orders of random voxel sets, thinning keeps a
+    valid subsequence equal to the voxel-by-voxel oracle."""
     if lo > hi:
         lo, hi = hi, lo
-    sched = _layer_rows_schedule(5, 4, 3)
-    out = apply_sparsity(sched, SparsityPolicy(lo, hi, skip, preserve))
+    rng = np.random.default_rng(seed)
+    order = [VoxelId(i, j, k) for k in range(dims[2]) for j in range(dims[1])
+             for i in range(dims[0]) if rng.random() < fill]
+    if shuffled:
+        order = [order[p] for p in rng.permutation(len(order))]
+    sched = VoxelSchedule(VoxelGrid(dims=dims), order)
+    policy = SparsityPolicy(lo, hi, skip, preserve)
+    out = apply_sparsity(sched, policy)
+    assert out.order == sparsity_oracle(order, policy)
     it = iter(sched.order)
     assert all(v in it for v in out.order)
     out.validate()
+    layered = _layer_rows_schedule(5, 4, 3)
+    assert apply_sparsity(layered, policy).order == sparsity_oracle(layered.order, policy)
 
 
 # --- generators --------------------------------------------------------------
@@ -336,6 +392,7 @@ def test_load_schedule_rejects_malformed(tmp_path):
     ("grid 4 x 4 1.0 0 0 0", "malformed grid header 'grid 4 x 4 1.0 0 0 0'"),
     ("grid 4 4 4 1.0 nan 0 0", "origin must be finite, got (nan, 0.0, 0.0)"),
     ("grid 4 4 0 1.0 0 0 0", "grid dims must be positive integers, got (4, 4, 0)"),
+    ("grid 524289 1 1 1.0 0 0 0", "grid dims must be at most 524288, got (524289, 1, 1)"),
 ])
 def test_header_errors_name_the_file_and_line(tmp_path, header, message):
     p = tmp_path / "bad.sched"
@@ -409,3 +466,13 @@ def test_grid_validation():
     assert VoxelGrid(dims=(16, 16, 16)).octree_level == 4
     assert VoxelGrid(dims=(4, 4, 2)).octree_level == 2
     assert VoxelGrid(dims=(5, 1, 1)).octree_level == 3
+
+
+def test_grid_dims_past_the_octree_limit_rejected():
+    """The octree spans at most 2**19 voxels per axis, so a larger grid fails
+    where it is made, not when a mesh is built for it."""
+    assert VoxelGrid(dims=(2**19, 1, 1)).octree_level == 19
+    assert VoxelGrid(dims=(1, 1, 2**19)).octree_level == 19
+    for dims in ((2**19 + 1, 1, 1), (1, 2**19 + 1, 1), (1, 1, 2**40)):
+        with pytest.raises(ScheduleError, match=r"^grid dims must be at most 524288, got "):
+            VoxelGrid(dims=dims)
