@@ -29,6 +29,7 @@ __all__ = [
     "SparsityResult",
     "run",
     "compare_sparsity",
+    "response_mean",
 ]
 
 DEPOSIT_MODES = ("initial", "held")
@@ -62,6 +63,13 @@ class SimConfig:
     label: str = "run"
 
     def __post_init__(self):
+        counts = ["steps_per_voxel", "cooldown_steps", "snapshot_every", "base_level"]
+        if self.max_level is not None:
+            counts.append("max_level")
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DriverError(f"{name} must be an integer, got {value!r}")
         if self.steps_per_voxel < 1:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
         if not (0 < self.dt < math.inf):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .octree import CHILD_OFFSETS, OctreeMesh
+from .octree import CHILD_OFFSETS, OctreeMesh, merge
 
 __all__ = [
     "FemError",
@@ -451,23 +451,6 @@ def _empty_operator(setup: tuple, table: np.ndarray) -> _Operator:
                      none if setup[1] else sp.csr_matrix((0, 0)))
 
 
-def _merge(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted ``ids`` with the sorted ``rows`` merged in.
-
-    Returns the merged ids, each old id's position in them and each row's.
-    """
-    at = np.searchsorted(ids, rows)
-    new = at == np.searchsorted(ids, rows, side="right")  # not in ids yet
-    slots = at[new] + np.arange(np.count_nonzero(new))  # their positions once merged
-    keep = np.ones(len(ids) + len(slots), dtype=bool)
-    keep[slots] = False
-    old_to_new = np.flatnonzero(keep)
-    merged = np.empty(len(keep), dtype=ids.dtype)
-    merged[old_to_new] = ids
-    merged[slots] = rows[new]
-    return merged, old_to_new, np.searchsorted(merged, rows)
-
-
 def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.ndarray,
            setup: tuple) -> _Operator:
     """The operator over ``act``; from ``prev`` only the new leaves' corner rows change.
@@ -503,8 +486,8 @@ def _carry(prev: _Operator | None, mesh: OctreeMesh, act: np.ndarray, conn: np.n
     A = _gather(table.a, idx, blocks)
     row_free = coords[rows, 2] > 0
     col_free = coords[A.cols, 2] > 0
-    nodes, to_active, active_rows = _merge(nodes, rows)
-    free, to_free, free_rows = _merge(free, rows[row_free])
+    nodes, to_active, active_rows = merge(nodes, rows)
+    free, to_free, free_rows = merge(free, rows[row_free])
     seg = np.repeat(np.arange(len(rows)), np.diff(A.ptr))
     keep = row_free[seg] & col_free
     lens = np.bincount(seg[keep], minlength=len(rows))[row_free]

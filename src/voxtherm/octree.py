@@ -4,7 +4,9 @@ Leaves are axis-aligned cubes stored as flat arrays (anchor, level) kept
 strictly sorted by the Morton code of the anchor, so point location is a
 binary search and a split is a splice (the 8 children occupy exactly the
 parent's Morton range). Anchors are integer triples in finest-lattice
-(voxel) units; the root spans ``2**max_level`` voxels per axis.
+(voxel) units; the root spans ``2**max_level`` voxels per axis. Leaves are
+made only by splits: a new mesh is the root leaf split ``base_level`` times,
+and a split puts the children in Morton rank, so no step ever sorts.
 
 The tree is kept 2:1 balanced across faces, edges and corners by one
 local rule. A level-l cell exists only once its parent is split, and a
@@ -13,7 +15,8 @@ two levels coarser would touch one of its children. So refining to a voxel
 splits only the voxel's *halo*: per level one box of cells, the parents of
 the box below grown by one cell on each side. Leaves are never coarsened.
 Leaves carrying printed voxels are "active"; everything else is inactive
-padding around the growing part.
+padding around the growing part. ``classify`` is atomic: it checks every
+printed voxel before it marks any leaf.
 
 Nodes are the distinct leaf corners, keyed by ``(x << 42) | (y << 21) | z``;
 corners are at most ``2**19``, so key order is lexicographic (x, y, z) order.
@@ -21,7 +24,8 @@ The node table (keys, coordinates, each leaf's 8 node ids) is built by one
 sort of all leaf corners the first time it is read. From then on each split
 grows it in place: the children's corners that are new are inserted at their
 key positions and older node ids move up by the count of insertions below
-them. A field or operator on an older table moves to the current one by key
+them (``merge``, the one sorted merge; the solve's carried ids use it too).
+A field or operator on an older table moves to the current one by key
 (``node_ids``). A mesh whose table was never read (a ``mesh-info`` replay)
 builds it once, at the end.
 """
@@ -69,6 +73,23 @@ def morton_encode(coords, max_level: int) -> np.ndarray:
         key |= ((y >> bit) & np.uint64(1)) << np.uint64(3 * b + 1)
         key |= ((z >> bit) & np.uint64(1)) << np.uint64(3 * b + 2)
     return key
+
+
+def merge(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted ``ids`` with the sorted ``rows`` merged in.
+
+    Returns the merged ids, each old id's position in them and each row's.
+    """
+    at = np.searchsorted(ids, rows)
+    new = at == np.searchsorted(ids, rows, side="right")  # not in ids yet
+    slots = at[new] + np.arange(np.count_nonzero(new))  # their positions once merged
+    keep = np.ones(len(ids) + len(slots), dtype=bool)
+    keep[slots] = False
+    old_to_new = np.flatnonzero(keep)
+    merged = np.empty(len(keep), dtype=ids.dtype)
+    merged[old_to_new] = ids
+    merged[slots] = rows[new]
+    return merged, old_to_new, np.searchsorted(merged, rows)
 
 
 def _pack(corners: np.ndarray) -> np.ndarray:
@@ -119,20 +140,15 @@ class OctreeMesh:
         self.max_level = int(max_level)
         self.base_level = int(base_level)
         self.root_extent = 1 << self.max_level
-        self.version = 0
-
-        n_side = 1 << base_level
-        size = self.root_extent >> base_level
-        ax = np.arange(n_side, dtype=np.int64) * size
-        gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-        anchors = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        keys = morton_encode(anchors, self.max_level)
-        order = np.argsort(keys, kind="stable")
-        self.anchors = anchors[order]
-        self.levels = np.full(len(anchors), base_level, dtype=np.int64)
-        self.keys = keys[order]
-        self.active = np.zeros(len(anchors), dtype=bool)
+        self.anchors = np.zeros((1, 3), dtype=np.int64)  # the root leaf
+        self.levels = np.zeros(1, dtype=np.int64)
+        self.keys = np.zeros(1, dtype=np.uint64)
+        self.active = np.zeros(1, dtype=bool)
         self._node_cache: _NodeTable | None = None
+        self.version = 0
+        for _ in range(base_level):
+            self._split(np.ones(len(self.levels), dtype=bool))
+        self.version = 0
 
     @classmethod
     def from_grid(cls, grid, base_level: int = 2, max_level: int | None = None) -> "OctreeMesh":
@@ -140,6 +156,7 @@ class OctreeMesh:
         need = grid.octree_level
         if max_level is None:
             max_level = need
+            base_level = min(base_level, max_level)  # no level is finer than the voxels
         elif max_level < need:
             raise MeshError(
                 f"max_level {max_level} cannot hold grid {grid.dims} (needs {need})"
@@ -159,8 +176,7 @@ class OctreeMesh:
         c = np.asarray(cell, dtype=np.int64)
         if np.any(c < 0) or np.any(c >= self.root_extent):
             raise MeshError(f"cell {tuple(int(x) for x in c)} outside root cube")
-        key = morton_encode(c, self.max_level)
-        return int(np.searchsorted(self.keys, key, side="right")) - 1
+        return int(self._find_leaves(c))
 
     def _find_leaves(self, cells: np.ndarray) -> np.ndarray:
         keys = morton_encode(cells, self.max_level)
@@ -257,9 +273,10 @@ class OctreeMesh:
                     f"printed voxel {t} sits in a level-{int(self.levels[idx])} leaf; "
                     f"expected level {self.max_level}"
                 )
-            self.active[idx] = True
             leaves.append(idx)
-        return np.array(leaves, dtype=np.int64)
+        leaves = np.array(leaves, dtype=np.int64)
+        self.active[leaves] = True  # every voxel checked first, so a failure marks none
+        return leaves
 
     # --- nodes --------------------------------------------------------------
 
@@ -285,13 +302,9 @@ class OctreeMesh:
         kids = np.flatnonzero(is_child)
         corners = _pack(_corners(self.anchors[kids], self.root_extent >> self.levels[kids]))
         cand, inverse = np.unique(corners.ravel(), return_inverse=True)
-        pos = np.searchsorted(table.keys, cand)
-        new = table.keys.take(pos, mode="clip") != cand
-        at = pos[new]
-        keys = np.insert(table.keys, at, cand[new])
-        old_to_new = np.delete(np.arange(len(keys)), at + np.arange(len(at)))
+        keys, old_to_new, cand_ids = merge(table.keys, cand)
         leaf_nodes = old_to_new.take(table.leaf_nodes.take(parent, axis=0))
-        leaf_nodes[kids] = np.searchsorted(keys, cand)[inverse].reshape(-1, 8)
+        leaf_nodes[kids] = cand_ids[inverse].reshape(-1, 8)
         return _NodeTable(keys, _unpack(keys), leaf_nodes)
 
     def node_ids(self, node_keys: np.ndarray) -> np.ndarray | None:
@@ -338,15 +351,10 @@ class OctreeMesh:
 
     def dump(self) -> str:
         """One line per leaf: ``morton_key level ai aj ak active``."""
-        lines = []
-        for i in range(len(self.levels)):
-            lvl = int(self.levels[i])
-            key = (int(self.keys[i]) << _LEVEL_BITS) | lvl
-            a = self.anchors[i]
-            lines.append(
-                f"{key} {lvl} {int(a[0])} {int(a[1])} {int(a[2])} {int(self.active[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        keys = (self.keys << np.uint64(_LEVEL_BITS)) | self.levels.astype(np.uint64)
+        rows = zip(keys.tolist(), self.levels.tolist(), self.anchors.tolist(),
+                   self.active.astype(np.int64).tolist())
+        return "".join(f"{k} {lvl} {x} {y} {z} {a}\n" for k, lvl, (x, y, z), a in rows)
 
     def validate(self) -> None:
         """Exact structural invariants: alignment, sortedness, tiling, levels."""

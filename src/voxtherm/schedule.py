@@ -53,6 +53,14 @@ class VoxelId(NamedTuple):
     k: int
 
 
+def _holds(test) -> bool:
+    """``test()``, or False where it raises on a value of the wrong type or range."""
+    try:
+        return bool(test())
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
     """Axis-aligned grid of cubic voxels; one voxel edge is 1 non-dim unit."""
@@ -62,13 +70,16 @@ class VoxelGrid:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
+        if not _holds(lambda: len(self.dims) == 3
+                      and all(int(d) == d and d >= 1 for d in self.dims)):
             raise ScheduleError(f"grid dims must be positive integers, got {self.dims}")
         if any(int(d) > 1 << MAX_LEVEL for d in self.dims):  # the octree's limit
             raise ScheduleError(f"grid dims must be at most {1 << MAX_LEVEL}, got {self.dims}")
-        if not (0 < self.voxel_size < math.inf):
+        if not _holds(lambda: math.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise ScheduleError(f"voxel_size must be positive and finite, got {self.voxel_size}")
-        if not all(math.isfinite(o) for o in self.origin):
+        if not _holds(lambda: len(self.origin) == 3):
+            raise ScheduleError(f"origin must have 3 components, got {self.origin}")
+        if not _holds(lambda: all(math.isfinite(o) for o in self.origin)):
             raise ScheduleError(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))

@@ -237,6 +237,24 @@ def test_simulate_bad_config_exits_one(tmp_path, capsys):
     assert "config loading failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", [1, 2])
+def test_default_config_runs_on_tiny_grids(tmp_path, capsys, side):
+    """A grid shallower than the default base level 2 caps the base level at
+    its depth: gen, simulate and mesh-info all succeed on it."""
+    grid = [str(side)] * 3
+    sched = tmp_path / "tiny.sched"
+    assert main(["gen", "--shape", "cuboid", "--dims", *grid, "--grid", *grid,
+                 "-o", str(sched)]) == 0
+    assert main(["simulate", "--schedule", str(sched), "-o", str(tmp_path / "out")]) == 0
+    rows, summary = parse_report((tmp_path / "out" / "report.csv").read_text())
+    assert len(rows) == side**3
+    capsys.readouterr()
+    assert main(["mesh-info", str(sched), "--dump"]) == 0
+    out = capsys.readouterr().out
+    assert f"voxels {side**3}" in out and f"active {side**3}" in out
+    assert f"level {side - 1}: {side**3} leaves" in out
+
+
 def test_mesh_info_summary_and_dump(tmp_path, capsys):
     sched = tmp_path / "part.sched"
     main(["gen", "--shape", "cuboid", "--dims", "2", "2", "2",

@@ -334,6 +334,18 @@ def test_config_validation():
     assert SimConfig(label="demo part").label == "demo part"  # written as demo_part
 
 
+@pytest.mark.parametrize("field", ["steps_per_voxel", "cooldown_steps", "snapshot_every",
+                                   "base_level", "max_level"])
+def test_config_counts_must_be_integers(field):
+    """A count that is a float or a bool fails at construction, naming its
+    field; Python and numpy integers pass."""
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(DriverError, match=rf"^{field} must be an integer, got "):
+            SimConfig(**{field: bad})
+    for good in (2, np.int64(2), np.uint8(2)):
+        assert getattr(SimConfig(**{field: good}), field) == 2
+
+
 @pytest.mark.parametrize(
     "fractions,pair,tag",
     [((0.30, 0.3049, 1.0), "0.3 and 0.3049", "030"), ((0.5, 0.5), "0.5 and 0.5", "050")],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxtherm.octree import MeshError, OctreeMesh, morton_encode
+from voxtherm.octree import MeshError, OctreeMesh, merge, morton_encode
 
 # --- oracles -----------------------------------------------------------------
 
@@ -154,6 +154,36 @@ def test_base_level_construction():
     mesh.validate()
 
 
+def oracle_morton_key(anchor, max_level):
+    """Morton key of one anchor by bit interleaving in Python ints, x lowest."""
+    key = 0
+    for b in range(max_level):
+        for axis in range(3):
+            key |= ((int(anchor[axis]) >> b) & 1) << (3 * b + axis)
+    return key
+
+
+@pytest.mark.parametrize("max_level", range(5))
+def test_new_mesh_is_the_morton_sorted_base_lattice(max_level):
+    """Splitting the root ``base_level`` times gives the base lattice in
+    Morton order, dtypes and shapes included, at version 0."""
+    for base in range(max_level + 1):
+        mesh = OctreeMesh(max_level=max_level, base_level=base)
+        size = (1 << max_level) >> base
+        ax = np.arange(1 << base, dtype=np.int64) * size
+        lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+        keys = np.array([oracle_morton_key(a, max_level) for a in lattice], dtype=np.uint64)
+        order = np.argsort(keys)
+        expect = {"anchors": lattice[order], "levels": np.full(len(lattice), base, dtype=np.int64),
+                  "keys": keys[order], "active": np.zeros(len(lattice), dtype=bool)}
+        for name, want in expect.items():
+            got = getattr(mesh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert mesh.version == 0
+        mesh.validate()
+
+
 def test_refine_root_only_one_level():
     mesh = OctreeMesh(max_level=1, base_level=0)
     assert len(mesh) == 1
@@ -301,6 +331,21 @@ def test_classify_marks_and_validates_levels():
     mesh.validate()
 
 
+def test_classify_checks_every_voxel_before_it_marks_one():
+    """A batch with one coarse voxel raises and leaves ``active`` as it was."""
+    mesh = OctreeMesh(max_level=3, base_level=1)
+    mesh.refine_to_voxel((0, 0, 0))
+    mesh.refine_to_voxel((5, 5, 5))
+    mesh.classify([(5, 5, 5)])
+    before = mesh.active.copy()
+    for batch in ([(0, 0, 0), (7, 0, 7)], [(0, 0, 0), (1, 0, 0), (7, 0, 7), (5, 5, 5)]):
+        with pytest.raises(MeshError, match=r"printed voxel \(7, 0, 7\) sits in a level-2 leaf"):
+            mesh.classify(batch)
+        np.testing.assert_array_equal(mesh.active, before)
+    empty = mesh.classify([])
+    assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 def test_split_refuses_active_and_bottom_leaves():
     mesh = OctreeMesh(max_level=1, base_level=1)
     mesh.classify([(0, 0, 0)])
@@ -397,6 +442,24 @@ def test_grown_node_table_equals_a_rebuild_after_every_refine():
             before = after
 
 
+def test_merge_matches_union1d_on_random_sorted_id_sets():
+    """The merged ids are the union; each old id and each row sits at the
+    position a search of the union finds for it."""
+    rng = np.random.default_rng(20261020)
+    for trial in range(300):
+        top = int(rng.integers(1, 60))
+        ids = np.unique(rng.integers(0, top, size=int(rng.integers(0, 30)))).astype(np.int64)
+        rows = np.unique(rng.integers(0, top, size=int(rng.integers(0, 30)))).astype(np.int64)
+        if trial % 10 == 0:
+            rows = ids[rng.random(len(ids)) < 0.5]  # every row already an id
+        merged, old_to_new, row_ids = merge(ids, rows)
+        union = np.union1d(ids, rows)
+        assert merged.dtype == ids.dtype
+        np.testing.assert_array_equal(merged, union)
+        np.testing.assert_array_equal(old_to_new, np.searchsorted(union, ids))
+        np.testing.assert_array_equal(row_ids, np.searchsorted(union, rows))
+
+
 def test_node_ids_map_older_tables_by_key_and_reject_other_meshes():
     mesh = OctreeMesh(max_level=4, base_level=1)
     first = mesh.snapshot().node_keys
@@ -469,6 +532,16 @@ def test_from_grid_levels():
         OctreeMesh(max_level=2, base_level=3)
 
 
+def test_from_grid_caps_the_base_level_at_a_derived_depth():
+    from voxtherm.schedule import VoxelGrid
+
+    for dims, depth in (((1, 1, 1), 0), ((2, 2, 1), 1), ((3, 1, 1), 2), ((8, 8, 8), 3)):
+        mesh = OctreeMesh.from_grid(VoxelGrid(dims=dims))
+        assert (mesh.max_level, mesh.base_level) == (depth, min(2, depth))
+    with pytest.raises(MeshError, match=r"base_level must be in \[0, max_level=1\], got 2"):
+        OctreeMesh.from_grid(VoxelGrid(dims=(2, 2, 2)), max_level=1)
+
+
 def test_dump_format_and_stability():
     mesh = OctreeMesh(max_level=2, base_level=0)
     mesh.refine_to_voxel((0, 0, 0))
@@ -482,6 +555,36 @@ def test_dump_format_and_stability():
     # first leaf is the active voxel at the origin
     assert fields[0] == ["2", "2", "0", "0", "0", "1"]
     assert mesh.dump() == mesh.dump()
+
+
+def loop_dump(mesh):
+    """The dump written one leaf at a time, as an independent reference."""
+    lines = []
+    for i in range(len(mesh.levels)):
+        lvl = int(mesh.levels[i])
+        key = (int(mesh.keys[i]) << 6) | lvl
+        a = mesh.anchors[i]
+        lines.append(f"{key} {lvl} {int(a[0])} {int(a[1])} {int(a[2])} {int(mesh.active[i])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_equals_a_per_leaf_loop_on_random_meshes():
+    rng = np.random.default_rng(20261021)
+    for _ in range(30):
+        max_level = int(rng.integers(0, 6))
+        mesh = OctreeMesh(max_level=max_level, base_level=int(rng.integers(0, max_level + 1)))
+        for _ in range(int(rng.integers(0, 8))):
+            v = tuple(int(c) for c in rng.integers(0, 1 << max_level, size=3))
+            mesh.refine_to_voxel(v)
+            if rng.random() < 0.6:
+                mesh.classify([v])
+        assert mesh.dump() == loop_dump(mesh)
+    top = (1 << 19) - 1  # the widest keys: every Morton bit of a level-19 root set
+    mesh = OctreeMesh(max_level=19, base_level=0)
+    mesh.refine_to_voxel((top, top, top))
+    mesh.classify([(top, top, top)])
+    assert mesh.dump() == loop_dump(mesh)
+    assert mesh.dump().splitlines()[-1] == f"{((8**19 - 1) << 6) | 19} 19 {top} {top} {top} 1"
 
 
 def test_snapshot_is_stable_across_later_mutation():

@@ -468,6 +468,32 @@ def test_grid_validation():
     assert VoxelGrid(dims=(5, 1, 1)).octree_level == 3
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"dims": (math.inf, 1, 1)}, "grid dims must be positive integers, got (inf, 1, 1)"),
+    ({"dims": (math.nan, 1, 1)}, "grid dims must be positive integers, got (nan, 1, 1)"),
+    ({"dims": None}, "grid dims must be positive integers, got None"),
+    ({"dims": ("4", 4, 4)}, "grid dims must be positive integers, got ('4', 4, 4)"),
+    ({"voxel_size": "1.0"}, "voxel_size must be positive and finite, got 1.0"),
+    ({"voxel_size": None}, "voxel_size must be positive and finite, got None"),
+    ({"origin": (0, 0)}, "origin must have 3 components, got (0, 0)"),
+    ({"origin": None}, "origin must have 3 components, got None"),
+    ({"origin": (0.0, "x", 0.0)}, "origin must be finite, got (0.0, 'x', 0.0)"),
+], ids=["inf-dim", "nan-dim", "no-dims", "text-dim", "text-size", "no-size",
+        "two-origin", "no-origin", "text-origin"])
+def test_malformed_grid_fields_raise_schedule_error(kwargs, message):
+    """Every malformed field fails where the grid is made, as a ScheduleError."""
+    with pytest.raises(ScheduleError) as err:
+        VoxelGrid(**{"dims": (4, 4, 4), **kwargs})
+    assert str(err.value) == message
+
+
+def test_grid_fields_are_converted():
+    grid = VoxelGrid(dims=(4.0, np.int64(4), 4), voxel_size=np.float32(2), origin=(1, 2, 3))
+    assert grid.dims == (4, 4, 4) and type(grid.dims[1]) is int
+    assert grid.voxel_size == 2.0 and type(grid.voxel_size) is float
+    assert grid.origin == (1.0, 2.0, 3.0) and all(type(o) is float for o in grid.origin)
+
+
 def test_grid_dims_past_the_octree_limit_rejected():
     """The octree spans at most 2**19 voxels per axis, so a larger grid fails
     where it is made, not when a mesh is built for it."""
