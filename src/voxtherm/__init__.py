@@ -15,7 +15,6 @@ _EXPORTS = {
     "Toolpath": "gcode",
     "ToolpathSegment": "gcode",
     "parse_gcode": "gcode",
-    "toolpath_stats": "gcode",
     "ScheduleError": "schedule",
     "OutOfBoundsError": "schedule",
     "VoxelId": "schedule",

@@ -39,10 +39,6 @@ def _to_bool(raw: str) -> bool:
     return low == "true"
 
 
-def _to_level(raw: str) -> int | None:
-    return None if raw.strip().lower() == "auto" else int(raw, 10)
-
-
 def _to_fractions(raw: str) -> tuple[float, ...]:
     toks = raw.replace(",", " ").split()
     if not toks:
@@ -58,7 +54,6 @@ def _to_str(raw: str) -> str:
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "grid": {
         "base_level": ("base_level", _to_int),
-        "max_level": ("max_level", _to_level),
     },
     "material": {
         "kappa": ("kappa", _to_float),
@@ -97,7 +92,6 @@ _FORMATTERS = {
     _to_int: str,
     _to_float: repr,
     _to_bool: lambda v: "true" if v else "false",
-    _to_level: lambda v: "auto" if v is None else str(v),
     _to_fractions: lambda v: " ".join(repr(f) for f in v),
     _to_str: str,
 }

@@ -11,6 +11,7 @@ The step operator is carried, so each deposit rebuilds only its rows.
 from __future__ import annotations
 
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass, field
 
@@ -39,6 +40,22 @@ class DriverError(RuntimeError):
     """Simulation run aborted; the message names the offending voxel."""
 
 
+_FLAG = (bool, np.bool_)
+_COUNT, _NUMBER = ((int, np.integer), "an integer"), (numbers.Real, "a number")
+# field -> (accepted types, what a message calls them)
+_FIELD_TYPES = {
+    "steps_per_voxel": _COUNT, "cooldown_steps": _COUNT, "snapshot_every": _COUNT,
+    "base_level": _COUNT, "dt": _NUMBER, "solver_tol": _NUMBER,
+    "material": (MaterialParams, "a MaterialParams"), "bcs": (BoundarySpec, "a BoundarySpec"),
+    "lumped_mass": (_FLAG, "true or false"), "label": (str, "a string"),
+}
+
+
+def _is(value, kinds) -> bool:
+    """``isinstance(value, kinds)``, but a bool is no number: it passes only as a flag."""
+    return isinstance(value, kinds) and (kinds is _FLAG or not isinstance(value, bool))
+
+
 def _snapshot_tag(fraction: float) -> int:
     """Percent tag of a snapshot fraction: ``0.3`` writes ``snapshot_030``."""
     return int(round(fraction * 100))
@@ -53,7 +70,6 @@ class SimConfig:
     material: MaterialParams = field(default_factory=MaterialParams)
     bcs: BoundarySpec = field(default_factory=BoundarySpec)
     base_level: int = 2
-    max_level: int | None = None
     solver_tol: float = 1e-12
     lumped_mass: bool = True
     deposit_mode: str = "initial"
@@ -63,25 +79,19 @@ class SimConfig:
     label: str = "run"
 
     def __post_init__(self):
-        counts = ["steps_per_voxel", "cooldown_steps", "snapshot_every", "base_level"]
-        if self.max_level is not None:
-            counts.append("max_level")
-        for name in counts:
+        for name, (kinds, what) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DriverError(f"{name} must be an integer, got {value!r}")
+            if not _is(value, kinds):
+                raise DriverError(f"{name} must be {what}, got {value!r}")
+        fractions = self.snapshot_fractions
+        if not (isinstance(fractions, tuple) and all(_is(f, numbers.Real) for f in fractions)):
+            raise DriverError(f"snapshot_fractions must be a tuple of numbers, got {fractions!r}")
         if self.steps_per_voxel < 1:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
         if not (0 < self.dt < math.inf):
             raise DriverError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.base_level <= MAX_LEVEL:
             raise DriverError(f"base_level must be in [0, {MAX_LEVEL}], got {self.base_level}")
-        if self.max_level is not None and self.max_level < self.base_level:
-            raise DriverError(
-                f"max_level {self.max_level} below base_level {self.base_level}"
-            )
-        if self.max_level is not None and self.max_level > MAX_LEVEL:
-            raise DriverError(f"max_level must be at most {MAX_LEVEL}, got {self.max_level}")
         if not (0 < self.solver_tol < math.inf):
             raise DriverError(
                 f"solver_tol must be positive and finite, got {self.solver_tol}"
@@ -97,7 +107,7 @@ class SimConfig:
         if not self.label.isprintable():
             raise DriverError(f"label must be printable (no line break or tab): {self.label!r}")
         tags: dict[int, float] = {}
-        for f in self.snapshot_fractions:
+        for f in fractions:
             if not (0.0 < f <= 1.0):
                 raise DriverError(f"snapshot fraction {f} outside (0, 1]")
             tag = _snapshot_tag(f)
@@ -191,9 +201,7 @@ def run(
     if callable(sinks):
         sinks = (sinks,)
     schedule.validate()
-    mesh = OctreeMesh.from_grid(
-        schedule.grid, base_level=cfg.base_level, max_level=cfg.max_level
-    )
+    mesh = OctreeMesh.from_grid(schedule.grid, base_level=cfg.base_level)
     state = fem.initial_state(mesh, cfg.bcs)
     order = schedule.order
     n = len(order)

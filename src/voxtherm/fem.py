@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -65,9 +66,15 @@ class SolverError(FemError):
         self.residuals = residuals
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_finite(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
+        if not _is_number(value):
+            raise FemError(f"{f.name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise FemError(f"{f.name} must be finite, got {value}")
 
@@ -632,6 +639,8 @@ def assemble(
     in ``extra_dirichlet`` are sliced out of the carried free block. The
     result is bit-identical to a whole-mesh assembly.
     """
+    if not (_is_number(dt) and math.isfinite(dt)):
+        raise FemError(f"dt must be a finite number, got {dt!r}")
     if dt <= 0:
         raise FemError(f"dt must be positive, got {dt}")
     act = np.flatnonzero(mesh.active)
@@ -758,6 +767,11 @@ def solve(
     ``x0``, when given, is a full nodal vector; PCG starts from its free
     entries.
     """
+    if not (_is_number(tol) and 0 < tol < math.inf):
+        raise FemError(f"tol must be a positive finite number, got {tol!r}")
+    if max_iter is not None and (isinstance(max_iter, bool)
+                                 or not isinstance(max_iter, (int, np.integer)) or max_iter < 0):
+        raise FemError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if x0 is not None and len(x0) != system.n:
         raise FemError(f"x0 has {len(x0)} values for a system on {system.n} nodes")
     x = system.prescribed.copy()

@@ -8,9 +8,11 @@ a second G or M word on a line whose command is acted on or rejected;
 unrecognized commands are ignored so real slicer output (fan,
 temperature, homing lines) parses cleanly.
 
-A move becomes a :class:`ToolpathSegment`. A segment is *extruding* iff
-it is a G1 with strictly positive net filament advance; retractions and
-G0 moves are travel. Zero-length non-extruding moves (feed-only lines,
+A move becomes a :class:`ToolpathSegment`, which carries only what the
+schedule reads: its start and end in machine coordinates and whether it
+extrudes. A segment is *extruding* iff it is a G1 with strictly positive
+net filament advance; retractions and G0 moves are travel. Feedrates are
+read and dropped. Zero-length non-extruding moves (feed-only lines,
 in-place retracts) produce no segment.
 """
 
@@ -20,18 +22,13 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "GcodeError",
     "GcodeParseError",
     "UnsupportedCommandError",
-    "MachineState",
     "ToolpathSegment",
     "Toolpath",
-    "ToolpathStats",
     "parse_gcode",
-    "toolpath_stats",
 ]
 
 
@@ -70,11 +67,10 @@ class MachineState:
     emitted segments stay connected in the physical frame.
     """
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    position: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    offset: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     extruder: float = 0.0
     extruder_offset: float = 0.0
-    feedrate: float | None = None
     absolute_moves: bool = True
     absolute_extruder: bool = True
 
@@ -86,11 +82,6 @@ class ToolpathSegment:
     start: tuple[float, float, float]
     end: tuple[float, float, float]
     extruding: bool
-    feedrate: float | None = None
-
-    @property
-    def length(self) -> float:
-        return math.dist(self.start, self.end)
 
 
 @dataclass
@@ -98,28 +89,6 @@ class Toolpath:
     """Ordered motion segments; consecutive segments share endpoints."""
 
     segments: list[ToolpathSegment] = field(default_factory=list)
-
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """AABB over endpoints of extruding segments, None if nothing extrudes."""
-        pts = [
-            p
-            for seg in self.segments
-            if seg.extruding
-            for p in (seg.start, seg.end)
-        ]
-        if not pts:
-            return None
-        arr = np.asarray(pts)
-        return arr.min(axis=0), arr.max(axis=0)
-
-
-@dataclass(frozen=True)
-class ToolpathStats:
-    segment_count: int
-    extruding_count: int
-    extruding_length: float
-    bounds: tuple[np.ndarray, np.ndarray] | None
 
 
 def _strip_comments(line: str, line_no: int) -> str:
@@ -253,16 +222,8 @@ def parse_gcode(text: str) -> Toolpath:
 
 
 def _apply_move(st: MachineState, words: dict[str, float], is_g1: bool) -> ToolpathSegment | None:
-    if "F" in words:
-        st.feedrate = words["F"]
-
-    target = st.position.copy()
-    for axis_idx, axis in enumerate("XYZ"):
-        if axis in words:
-            if st.absolute_moves:
-                target[axis_idx] = words[axis] + st.offset[axis_idx]
-            else:
-                target[axis_idx] = st.position[axis_idx] + words[axis]
+    base = st.offset if st.absolute_moves else st.position  # what an axis word is added to
+    target = [b + words[a] if a in words else p for a, b, p in zip("XYZ", base, st.position)]
 
     de = 0.0
     if "E" in words:
@@ -275,29 +236,16 @@ def _apply_move(st: MachineState, words: dict[str, float], is_g1: bool) -> Toolp
             st.extruder += de
 
     extruding = is_g1 and de > 0.0
-    start = tuple(st.position.tolist())
-    end = tuple(target.tolist())
+    start, end = tuple(st.position), tuple(target)
     st.position = target
     if start == end and not extruding:
         return None  # feed-only line or in-place retract: no motion, no deposit
-    return ToolpathSegment(start=start, end=end, extruding=extruding, feedrate=st.feedrate)
+    return ToolpathSegment(start=start, end=end, extruding=extruding)
 
 
 def _apply_datum(st: MachineState, words: dict[str, float]) -> None:
     """G92: re-declare current logical coordinates without moving the head."""
-    for axis_idx, axis in enumerate("XYZ"):
-        if axis in words:
-            st.offset[axis_idx] = st.position[axis_idx] - words[axis]
+    st.offset = [p - words[a] if a in words else o
+                 for a, p, o in zip("XYZ", st.position, st.offset)]
     if "E" in words:
         st.extruder_offset = st.extruder - words["E"]
-
-
-def toolpath_stats(tp: Toolpath) -> ToolpathStats:
-    """Segment counts, total extruded path length (mm) and extrusion bounds."""
-    ext = [s for s in tp.segments if s.extruding]
-    return ToolpathStats(
-        segment_count=len(tp.segments),
-        extruding_count=len(ext),
-        extruding_length=float(sum(s.length for s in ext)),
-        bounds=tp.bounds,
-    )

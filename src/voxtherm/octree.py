@@ -151,17 +151,10 @@ class OctreeMesh:
         self.version = 0
 
     @classmethod
-    def from_grid(cls, grid, base_level: int = 2, max_level: int | None = None) -> "OctreeMesh":
-        """Tight power-of-two bounding cube of the voxel grid."""
-        need = grid.octree_level
-        if max_level is None:
-            max_level = need
-            base_level = min(base_level, max_level)  # no level is finer than the voxels
-        elif max_level < need:
-            raise MeshError(
-                f"max_level {max_level} cannot hold grid {grid.dims} (needs {need})"
-            )
-        return cls(max_level=max_level, base_level=base_level)
+    def from_grid(cls, grid, base_level: int = 2) -> "OctreeMesh":
+        """The grid's tight power-of-two cube, ``base_level`` capped at its depth."""
+        depth = grid.octree_level
+        return cls(max_level=depth, base_level=min(base_level, depth))
 
     # --- basic queries ------------------------------------------------------
 

@@ -11,6 +11,7 @@ a voxel corner more briefly than the sampling step may skip it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
@@ -84,10 +85,6 @@ class VoxelGrid:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
-
-    @property
-    def n_voxels(self) -> int:
-        return self.dims[0] * self.dims[1] * self.dims[2]
 
     @property
     def octree_level(self) -> int:
@@ -184,6 +181,12 @@ class SparsityPolicy:
     preserve_row_ends: bool = True
 
     def __post_init__(self):
+        for name in ("band_lo", "band_hi"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScheduleError(f"{name} must be a number, got {value!r}")
+        if isinstance(self.skip, bool) or not isinstance(self.skip, (int, np.integer)):
+            raise ScheduleError(f"skip must be an integer, got {self.skip!r}")
         if not (0.0 <= self.band_lo <= self.band_hi <= 1.0):
             raise ScheduleError(f"invalid band [{self.band_lo}, {self.band_hi}]")
         if self.skip < 0:

@@ -237,6 +237,21 @@ def test_simulate_bad_config_exits_one(tmp_path, capsys):
     assert "config loading failed" in capsys.readouterr().err
 
 
+def test_simulate_config_naming_max_level_exits_one(tmp_path, capsys):
+    """The octree depth comes from the grid; a config file that still sets
+    max_level is rejected, naming the file and the key."""
+    sched = tmp_path / "part.sched"
+    main(["gen", "--shape", "cuboid", "--dims", "1", "1", "1",
+          "--grid", "4", "4", "4", "-o", str(sched)])
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text("[grid]\nbase_level = 2\nmax_level = auto\n")
+    assert main(["simulate", "--schedule", str(sched), "--config", str(cfg_path),
+                 "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config loading failed: {cfg_path}: unknown key 'max_level' in [grid]" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("side", [1, 2])
 def test_default_config_runs_on_tiny_grids(tmp_path, capsys, side):
     """A grid shallower than the default base level 2 caps the base level at

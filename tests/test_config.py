@@ -29,7 +29,6 @@ CUSTOM = SimConfig(
     material=MaterialParams(kappa=0.0002, rho=1.3, cp=0.7, latent_source=2.5),
     bcs=BoundarySpec(t_bed=0.9, t_deposit=2.1, t_ambient=-0.5),
     base_level=1,
-    max_level=6,
     solver_tol=1e-10,
     lumped_mass=False,
     deposit_mode="held",
@@ -51,7 +50,6 @@ def test_custom_values_round_trip():
 DEFAULT_TEXT = """\
 [grid]
 base_level = 2
-max_level = auto
 
 [material]
 kappa = 0.0008
@@ -83,7 +81,6 @@ label = run
 CUSTOM_TEXT = """\
 [grid]
 base_level = 1
-max_level = 6
 
 [material]
 kappa = 0.0002
@@ -132,19 +129,13 @@ def test_partial_document_uses_defaults():
     assert cfg.material == MaterialParams()
 
 
-def test_auto_max_level():
-    cfg = parse_config("[grid]\nmax_level = auto\n")
-    assert cfg.max_level is None
-    cfg = parse_config("[grid]\nmax_level = 5\n")
-    assert cfg.max_level == 5
-
-
-def test_max_level_past_the_octree_limit_rejected():
-    """The octree holds at most 19 levels; a config asking for more fails
-    where it is read, not when the print starts."""
-    with pytest.raises(ConfigError, match=r"^run\.cfg: max_level must be at most 19, got 40$"):
-        parse_config("[grid]\nmax_level = 40\n", source="run.cfg")
-    assert parse_config("[grid]\nmax_level = 19\n").max_level == 19
+def test_max_level_key_rejected():
+    """The octree depth comes from the grid; a config that still names
+    max_level, as one saved by earlier versions does, fails naming its file."""
+    for value in ("auto", "5"):
+        with pytest.raises(ConfigError,
+                           match=r"^run\.cfg: unknown key 'max_level' in \[grid\]$"):
+            parse_config(f"[grid]\nmax_level = {value}\n", source="run.cfg")
 
 
 def test_base_level_past_the_octree_limit_rejected():

@@ -155,6 +155,12 @@ def test_material_params_alpha_and_validation():
         MaterialParams(latent_source=float("inf"))
     with pytest.raises(FemError, match="t_bed must be finite"):
         BoundarySpec(t_bed=float("nan"))
+    with pytest.raises(FemError, match=r"^kappa must be a number, got '1'$"):
+        MaterialParams(kappa="1")
+    with pytest.raises(FemError, match=r"^rho must be a number, got True$"):
+        MaterialParams(rho=True)
+    with pytest.raises(FemError, match=r"^t_bed must be a number, got '1'$"):
+        BoundarySpec(t_bed="1")
 
 
 def test_nondimensionalize_unit_inputs():
@@ -323,6 +329,28 @@ def test_solve_rejects_x0_of_the_wrong_length():
     for size in (n + 50, 10):
         with pytest.raises(FemError, match=f"x0 has {size} values for a system on {n} nodes"):
             solve(system, x0=np.zeros(size))
+
+
+def test_solve_and_assemble_check_their_scalar_arguments():
+    """A bad dt, tol or max_iter fails at the entry point as a FemError that
+    names it, not inside PCG."""
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    for z in range(3):
+        activate_voxel(mesh, state, (0, 0, z), bcs)
+    for dt in (math.nan, math.inf, -math.inf, "1", True):
+        with pytest.raises(FemError, match=r"^dt must be a finite number, got "):
+            assemble(mesh, state, MaterialParams(), bcs, dt)
+    system = assemble(mesh, state, MaterialParams(kappa=0.05), bcs, dt=0.5)
+    for tol in (math.nan, -1.0, 0.0, math.inf, "1e-3", None, True):
+        with pytest.raises(FemError, match=r"^tol must be a positive finite number, got "):
+            solve(system, tol=tol)
+    for max_iter in (-1, 2.5, 2.0, True, "3"):
+        with pytest.raises(FemError, match=r"^max_iter must be a non-negative integer, got "):
+            solve(system, max_iter=max_iter)
+    x, _ = solve(system, tol=np.float64(1e-10), max_iter=np.int64(500))
+    np.testing.assert_array_equal(x, solve(system, tol=1e-10)[0])
 
 
 def test_non_finite_residual_stops_pcg_at_once():

@@ -527,8 +527,6 @@ def test_from_grid_levels():
     assert OctreeMesh.from_grid(VoxelGrid(dims=(16, 16, 16))).max_level == 4
     assert OctreeMesh.from_grid(VoxelGrid(dims=(32, 5, 1))).max_level == 5
     with pytest.raises(MeshError):
-        OctreeMesh.from_grid(VoxelGrid(dims=(16, 16, 16)), max_level=3)
-    with pytest.raises(MeshError):
         OctreeMesh(max_level=2, base_level=3)
 
 
@@ -538,8 +536,6 @@ def test_from_grid_caps_the_base_level_at_a_derived_depth():
     for dims, depth in (((1, 1, 1), 0), ((2, 2, 1), 1), ((3, 1, 1), 2), ((8, 8, 8), 3)):
         mesh = OctreeMesh.from_grid(VoxelGrid(dims=dims))
         assert (mesh.max_level, mesh.base_level) == (depth, min(2, depth))
-    with pytest.raises(MeshError, match=r"base_level must be in \[0, max_level=1\], got 2"):
-        OctreeMesh.from_grid(VoxelGrid(dims=(2, 2, 2)), max_level=1)
 
 
 def test_dump_format_and_stability():

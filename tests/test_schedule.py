@@ -244,6 +244,22 @@ def test_sparsity_skip_zero_is_identity():
     assert out.order is not sched.order
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"skip": 1.5}, "skip must be an integer, got 1.5"),
+    ({"skip": 2.0}, "skip must be an integer, got 2.0"),
+    ({"skip": True}, "skip must be an integer, got True"),
+    ({"skip": "2"}, "skip must be an integer, got '2'"),
+    ({"band_lo": "0"}, "band_lo must be a number, got '0'"),
+    ({"band_hi": False}, "band_hi must be a number, got False"),
+])
+def test_sparsity_policy_field_types_checked(kwargs, message):
+    """A fractional skip would keep rows whose rank is a multiple of skip + 1
+    only by accident; it and other wrongly typed fields fail at construction."""
+    with pytest.raises(ScheduleError, match=rf"^{message}$"):
+        SparsityPolicy(**kwargs)
+    assert SparsityPolicy(skip=np.int64(2), band_lo=np.float64(0.25)).skip == 2
+
+
 def test_sparsity_output_is_subsequence():
     sched = _layer_rows_schedule(6, 7, 5)
     out = apply_sparsity(sched, SparsityPolicy.medium())
