@@ -19,7 +19,9 @@ bit matches a fresh assembly. The whole matrices are built only when
 asked for.
 
 All quantities are non-dimensional; the mesh lattice unit is the voxel
-edge.
+edge. scipy is imported by the functions that build sparse matrices, not
+here, so a process that never assembles (``voxelize``, ``gen``,
+``mesh-info``) never pays scipy's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .octree import CHILD_OFFSETS, OctreeMesh, merge
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FemError",
@@ -68,6 +73,10 @@ class SolverError(FemError):
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require_finite(params) -> None:
@@ -230,6 +239,8 @@ def _couple(rows: np.ndarray, cols: np.ndarray, corners: np.ndarray, pair, dt: f
     any order-preserving column numbering, rebuilds row r exactly; the
     duplicate sums and scipy's per-row sort see the same input.
     """
+    import scipy.sparse as sp
+
     Me, Ke = pair
     ij = (np.repeat(rows, 8), cols.ravel())
     M = sp.coo_matrix((Me[corners].ravel(), ij), shape=shape).tocsr()
@@ -256,6 +267,8 @@ def _splice(old: sp.csr_matrix, old_to_new: np.ndarray, rows: np.ndarray, fresh:
     ``fresh`` row k is row ``rows[k]`` in new ids; it replaces an old row or
     goes in between two. Every other row keeps its values.
     """
+    import scipy.sparse as sp
+
     idx_t = old.indices.dtype
     indptr = np.zeros(n + 1, dtype=idx_t)
     indptr[old_to_new + 1] = np.diff(old.indptr)
@@ -296,6 +309,8 @@ def _fold(rows: _Rows, x: np.ndarray) -> np.ndarray:
     matrix's ``A @ x`` does, so a row gets the bits of its whole-matrix sum;
     ``np.dot`` and ``sum`` add in another order.
     """
+    import scipy.sparse as sp
+
     nnz = len(rows.vals)
     ids, ptr = np.arange(nnz, dtype=np.int32), rows.ptr.astype(np.int32)
     return sp.csr_matrix((rows.vals, ids, ptr), shape=(len(ptr) - 1, nnz)) @ x
@@ -452,6 +467,8 @@ class _Operator:
 
 
 def _empty_operator(setup: tuple, table: np.ndarray) -> _Operator:
+    import scipy.sparse as sp
+
     none, ids = np.empty(0), np.empty(0, np.intp)
     return _Operator(setup, np.empty(0, np.uint64), table, ids, ids,
                      sp.csr_matrix((0, 0)), none, none,
@@ -661,6 +678,8 @@ def assemble(
             "the solve needs a conforming active mesh"
         )
     for li in latent_leaves:
+        if not _is_integer(li):
+            raise FemError(f"latent_leaves must hold leaf ids, got {li!r}")
         li = int(li)
         if not 0 <= li < len(mesh):
             raise FemError(f"latent leaf {li} outside [0, {len(mesh)})")
@@ -669,6 +688,10 @@ def assemble(
 
     extra = {}
     for nid, value in (extra_dirichlet or {}).items():
+        if not _is_integer(nid):
+            raise FemError(f"extra_dirichlet keys must be node ids, got {nid!r}")
+        if not _is_number(value):
+            raise FemError(f"extra_dirichlet value for node {nid} must be a number, got {value!r}")
         nid, value = int(nid), float(value)
         if not 0 <= nid < m:
             raise FemError(f"extra_dirichlet node {nid} outside [0, {m})")
@@ -769,8 +792,7 @@ def solve(
     """
     if not (_is_number(tol) and 0 < tol < math.inf):
         raise FemError(f"tol must be a positive finite number, got {tol!r}")
-    if max_iter is not None and (isinstance(max_iter, bool)
-                                 or not isinstance(max_iter, (int, np.integer)) or max_iter < 0):
+    if max_iter is not None and not (_is_integer(max_iter) and max_iter >= 0):
         raise FemError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     if x0 is not None and len(x0) != system.n:
         raise FemError(f"x0 has {len(x0)} values for a system on {system.n} nodes")

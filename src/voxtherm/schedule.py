@@ -54,6 +54,11 @@ class VoxelId(NamedTuple):
     k: int
 
 
+def _is_number(value) -> bool:
+    """A real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _holds(test) -> bool:
     """``test()``, or False where it raises on a value of the wrong type or range."""
     try:
@@ -72,15 +77,16 @@ class VoxelGrid:
 
     def __post_init__(self):
         if not _holds(lambda: len(self.dims) == 3
-                      and all(int(d) == d and d >= 1 for d in self.dims)):
+                      and all(_is_number(d) and int(d) == d and d >= 1 for d in self.dims)):
             raise ScheduleError(f"grid dims must be positive integers, got {self.dims}")
         if any(int(d) > 1 << MAX_LEVEL for d in self.dims):  # the octree's limit
             raise ScheduleError(f"grid dims must be at most {1 << MAX_LEVEL}, got {self.dims}")
-        if not _holds(lambda: math.isfinite(self.voxel_size) and self.voxel_size > 0):
+        if not _holds(lambda: _is_number(self.voxel_size) and math.isfinite(self.voxel_size)
+                      and self.voxel_size > 0):
             raise ScheduleError(f"voxel_size must be positive and finite, got {self.voxel_size}")
         if not _holds(lambda: len(self.origin) == 3):
             raise ScheduleError(f"origin must have 3 components, got {self.origin}")
-        if not _holds(lambda: all(math.isfinite(o) for o in self.origin)):
+        if not _holds(lambda: all(_is_number(o) and math.isfinite(o) for o in self.origin)):
             raise ScheduleError(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
@@ -183,7 +189,7 @@ class SparsityPolicy:
     def __post_init__(self):
         for name in ("band_lo", "band_hi"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_number(value):
                 raise ScheduleError(f"{name} must be a number, got {value!r}")
         if isinstance(self.skip, bool) or not isinstance(self.skip, (int, np.integer)):
             raise ScheduleError(f"skip must be an integer, got {self.skip!r}")
@@ -248,6 +254,10 @@ def _boustrophedon(cells: dict[int, dict[int, list[int]]]) -> list[VoxelId]:
 
 
 def _cuboid_cells(grid: VoxelGrid, dims, offset) -> dict:
+    for name, value in (("dims", dims), ("offset", offset)):
+        if not _holds(lambda: len(value) == 3
+                      and all(_is_number(v) and int(v) == v for v in value)):
+            raise ScheduleError(f"cuboid {name} must be 3 integers, got {value!r}")
     a, b, c = (int(d) for d in dims)
     ox, oy, oz = (int(o) for o in offset)
     if a < 1 or b < 1 or c < 1:
@@ -262,6 +272,11 @@ def _cuboid_cells(grid: VoxelGrid, dims, offset) -> dict:
 
 
 def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
+    if not _is_number(radius):
+        raise ScheduleError(f"sphere radius must be a number, got {radius!r}")
+    if center is not None and not _holds(lambda: len(center) == 3
+                                         and all(_is_number(c) for c in center)):
+        raise ScheduleError(f"sphere center must be 3 numbers, got {center!r}")
     ctr = np.asarray(grid.dims, float) / 2.0 if center is None else np.asarray(center, float)
     if not (0 < radius < math.inf and np.isfinite(ctr).all()):
         raise ScheduleError(f"sphere radius must be positive and finite and its centre finite, "

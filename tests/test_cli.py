@@ -326,16 +326,35 @@ def test_cli_solves_are_independent_of_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_the_stencil_table_unbuilt():
-    """The stencil table is built on the first assembly, not at import, so its
-    cost stays out of a CLI run's start-up."""
-    probe = ("import voxtherm.cli\nfrom voxtherm import fem\n"
-             "print(fem._stencil_table.cache_info().currsize)")
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import voxtherm.cli
+from voxtherm import fem
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert voxtherm.cli.main(list(argv)) == 0, argv
+
+grid = ["--grid", "4", "4", "4"]
+run("gen", "--shape", "cuboid", *grid, "--dims", "2", "2", "2", "--emit", "gcode",
+    "-o", "part.gcode")
+run("voxelize", "part.gcode", *grid, "-o", "part.sched")
+run("mesh-info", "part.sched")
+print("scipy.sparse" in sys.modules, fem._stencil_table.cache_info().currsize)
+run("simulate", "--schedule", "part.sched", "-o", "out")
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_the_stencil_table_unbuilt(tmp_path):
+    """scipy and the stencil table are loaded on the first assembly, not at
+    import, so a process that never solves (gen, voxelize, mesh-info) never
+    pays for them; simulate does."""
     env = {**os.environ, "PYTHONPATH": str(Path(voxtherm.__file__).resolve().parent.parent)}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"]
+    assert done.stdout.split() == ["False", "0", "True"]
 
 
 # Argv for each command: whole option groups it accepts, with good and bad

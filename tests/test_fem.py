@@ -353,6 +353,35 @@ def test_solve_and_assemble_check_their_scalar_arguments():
     np.testing.assert_array_equal(x, solve(system, tol=1e-10)[0])
 
 
+def test_assemble_checks_latent_leaves_and_extra_dirichlet_types():
+    """A fractional or bool leaf or node id would be truncated to another one,
+    and a text value parsed as a temperature; each fails as a FemError that
+    names its argument."""
+    mesh = column_mesh()
+    bcs = BoundarySpec()
+    state = initial_state(mesh, bcs)
+    for z in range(3):
+        leaf = activate_voxel(mesh, state, (0, 0, z), bcs)
+    nid = node_at(mesh, (0, 0, 3))
+    mat = MaterialParams(latent_source=1.0)
+    for bad in (leaf + 0.5, float(leaf), True, "0", None):
+        with pytest.raises(FemError, match=r"^latent_leaves must hold leaf ids, got "):
+            assemble(mesh, state, mat, bcs, dt=1.0, latent_leaves=(bad,))
+    for key in (nid + 0.7, float(nid), True, np.bool_(True), str(nid)):
+        with pytest.raises(FemError, match=r"^extra_dirichlet keys must be node ids, got "):
+            assemble(mesh, state, mat, bcs, dt=1.0, extra_dirichlet={key: 1.0})
+    for value in ("1.5", None, True):
+        with pytest.raises(FemError, match=rf"^extra_dirichlet value for node {nid} must be "
+                                           r"a number, got "):
+            assemble(mesh, state, mat, bcs, dt=1.0, extra_dirichlet={nid: value})
+    system = assemble(mesh, state, mat, bcs, dt=1.0, latent_leaves=(leaf,),
+                      extra_dirichlet={nid: 1.5})
+    same = assemble(mesh, state, mat, bcs, dt=1.0, latent_leaves=(np.int64(leaf),),
+                    extra_dirichlet={np.int32(nid): np.float32(1.5)})
+    np.testing.assert_array_equal(same.b, system.b)
+    np.testing.assert_array_equal(same.prescribed, system.prescribed)
+
+
 def test_non_finite_residual_stops_pcg_at_once():
     """A NaN in x0 at an unknown fails at the first residual, with its history;
     one at a pinned node is never read."""

@@ -260,6 +260,68 @@ def test_sparsity_policy_field_types_checked(kwargs, message):
     assert SparsityPolicy(skip=np.int64(2), band_lo=np.float64(0.25)).skip == 2
 
 
+@pytest.mark.parametrize("shape,kwargs,message", [
+    ("cuboid", {"dims": (2.5, 2, 2)}, "cuboid dims must be 3 integers, got (2.5, 2, 2)"),
+    ("cuboid", {"dims": 2}, "cuboid dims must be 3 integers, got 2"),
+    ("cuboid", {"dims": (2, 2)}, "cuboid dims must be 3 integers, got (2, 2)"),
+    ("cuboid", {"dims": (True, 2, 2)}, "cuboid dims must be 3 integers, got (True, 2, 2)"),
+    ("cuboid", {"dims": (2, 2, 2), "offset": (0.5, 0, 0)},
+     "cuboid offset must be 3 integers, got (0.5, 0, 0)"),
+    ("cuboid", {"dims": (2, 2, 2), "offset": ("1", 0, 0)},
+     "cuboid offset must be 3 integers, got ('1', 0, 0)"),
+    ("sphere", {"radius": "2"}, "sphere radius must be a number, got '2'"),
+    ("sphere", {"radius": True}, "sphere radius must be a number, got True"),
+    ("sphere", {"radius": 1.5, "center": ("a", 1, 1)},
+     "sphere center must be 3 numbers, got ('a', 1, 1)"),
+    ("sphere", {"radius": 1.5, "center": (2, 2)}, "sphere center must be 3 numbers, got (2, 2)"),
+    ("sphere", {"radius": 1.5, "center": (False, 2, 2)},
+     "sphere center must be 3 numbers, got (False, 2, 2)"),
+])
+def test_gen_test_schedule_argument_types_checked(shape, kwargs, message):
+    """A fractional cuboid size or offset would be truncated to another solid;
+    it and other wrongly typed arguments fail as a ScheduleError naming them."""
+    grid = VoxelGrid(dims=(4, 4, 4))
+    with pytest.raises(ScheduleError) as err:
+        gen_test_schedule(shape, grid, **kwargs)
+    assert str(err.value) == message
+    cuboid = gen_test_schedule("cuboid", grid, dims=(2, 2, 1), offset=(0, 1, 0))
+    assert gen_test_schedule("cuboid", grid, dims=(2.0, np.int64(2), 1),
+                             offset=(np.int32(0), 1.0, 0)).order == cuboid.order
+    sphere = gen_test_schedule("sphere", grid, radius=1.5, center=(2, 2, 2))
+    assert gen_test_schedule("sphere", grid, radius=np.float64(1.5),
+                             center=np.array([2, 2, 2])).order == sphere.order
+
+
+# short values of every kind an argument might be given: small ints, floats
+# (nan and inf included), bools, text and None, alone or in tuples of any
+# short length. Magnitudes stay under 8, so no large solid is ever generated.
+_scalar = st.one_of(
+    st.integers(-3, 8),
+    st.floats(-8, 8) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+_argument = _scalar | st.tuples(_scalar, _scalar, _scalar) | st.lists(_scalar, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["cuboid", "sphere"]),
+       dims=st.tuples(*[st.integers(1, 6)] * 3),
+       kwargs=st.fixed_dictionaries({}, optional={
+           "dims": _argument, "offset": _argument, "radius": _argument, "center": _argument}))
+def test_any_short_generator_arguments_give_a_schedule_or_a_schedule_error(shape, dims, kwargs):
+    """gen_test_schedule either returns a valid schedule on its grid or fails
+    as a ScheduleError that holds no numpy repr; no other exception escapes."""
+    grid = VoxelGrid(dims=dims)
+    try:
+        sched = gen_test_schedule(shape, grid, **kwargs)
+    except ScheduleError as err:
+        assert "np." not in str(err), str(err)
+    else:
+        sched.validate()
+
+
 def test_sparsity_output_is_subsequence():
     sched = _layer_rows_schedule(6, 7, 5)
     out = apply_sparsity(sched, SparsityPolicy.medium())
@@ -494,8 +556,11 @@ def test_grid_validation():
     ({"origin": (0, 0)}, "origin must have 3 components, got (0, 0)"),
     ({"origin": None}, "origin must have 3 components, got None"),
     ({"origin": (0.0, "x", 0.0)}, "origin must be finite, got (0.0, 'x', 0.0)"),
+    ({"dims": (True, 4, 4)}, "grid dims must be positive integers, got (True, 4, 4)"),
+    ({"voxel_size": True}, "voxel_size must be positive and finite, got True"),
+    ({"origin": (True, 0, 0)}, "origin must be finite, got (True, 0, 0)"),
 ], ids=["inf-dim", "nan-dim", "no-dims", "text-dim", "text-size", "no-size",
-        "two-origin", "no-origin", "text-origin"])
+        "two-origin", "no-origin", "text-origin", "bool-dim", "bool-size", "bool-origin"])
 def test_malformed_grid_fields_raise_schedule_error(kwargs, message):
     """Every malformed field fails where the grid is made, as a ScheduleError."""
     with pytest.raises(ScheduleError) as err:
