@@ -6,14 +6,18 @@ binary search and a split is a splice (the 8 children occupy exactly the
 parent's Morton range). Anchors are integer triples in finest-lattice
 (voxel) units; the root spans ``2**max_level`` voxels per axis. Leaves are
 made only by splits: a new mesh is the root leaf split ``base_level`` times,
-and a split puts the children in Morton rank, so no step ever sorts.
+and a split puts the children in Morton rank, so no step ever sorts. A split
+writes each child's key from its parent's, ``parent | rank << 3 *
+(max_level - child_level)``, so keys are never re-encoded; ``morton_encode``
+serves lookups (and ``validate``'s check that every key is its anchor's).
 
 The tree is kept 2:1 balanced across faces, edges and corners by one
 local rule. A level-l cell exists only once its parent is split, and a
 split parent needs every level-(l-1) cell touching it to exist, or a leaf
 two levels coarser would touch one of its children. So refining to a voxel
 splits only the voxel's *halo*: per level one box of cells, the parents of
-the box below grown by one cell on each side. Leaves are never coarsened.
+the box below grown by one cell on each side; its cells are the box's corner
+plus a cached offset table per box shape. Leaves are never coarsened.
 Leaves carrying printed voxels are "active"; everything else is inactive
 padding around the growing part. ``classify`` is atomic: it checks every
 printed voxel before it marks any leaf.
@@ -32,6 +36,7 @@ builds it once, at the end.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +65,26 @@ _NODE_BITS = 21  # bits per axis in a packed node key; holds 2**MAX_LEVEL inclus
 
 class MeshError(ValueError):
     """Octree structural or consistency failure."""
+
+
+def _plain(value):
+    """``value`` with numpy scalars and arrays as Python ones, for messages."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+def _cell(cell) -> tuple[int, int, int]:
+    """``cell`` as 3 Python ints; a bool is not an integer, a numpy integer is."""
+    try:
+        x, y, z = cell
+    except (TypeError, ValueError):
+        x = y = z = None
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (x, y, z)):
+        raise MeshError(f"cell {_plain(cell)!r} is not 3 integers")
+    return int(x), int(y), int(z)
 
 
 def morton_encode(coords, max_level: int) -> np.ndarray:
@@ -101,6 +126,18 @@ def _unpack(keys: np.ndarray) -> np.ndarray:
     """Lattice points (n, 3) of node keys."""
     low = (1 << _NODE_BITS) - 1
     return np.column_stack([keys >> 2 * _NODE_BITS, (keys >> _NODE_BITS) & low, keys & low])
+
+
+@functools.cache
+def _box_offsets(shape: tuple[int, int, int]) -> np.ndarray:
+    """Read-only (n, 3) offsets of every cell of a box of ``shape`` cells, z fastest.
+
+    A halo box has at most 5 cells per axis, so the cache holds at most 125 tables.
+    """
+    axes = np.meshgrid(*(np.arange(n, dtype=np.int64) for n in shape), indexing="ij")
+    offsets = np.stack(axes, axis=-1).reshape(-1, 3)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _corners(anchors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -166,10 +203,10 @@ class OctreeMesh:
 
     def find_leaf(self, cell) -> int:
         """Index of the leaf containing a finest-lattice cell."""
-        c = np.asarray(cell, dtype=np.int64)
-        if np.any(c < 0) or np.any(c >= self.root_extent):
-            raise MeshError(f"cell {tuple(int(x) for x in c)} outside root cube")
-        return int(self._find_leaves(c))
+        c = _cell(cell)
+        if not all(0 <= x < self.root_extent for x in c):
+            raise MeshError(f"cell {c} outside root cube")
+        return int(self._find_leaves(np.array(c, dtype=np.int64)))
 
     def _find_leaves(self, cells: np.ndarray) -> np.ndarray:
         keys = morton_encode(cells, self.max_level)
@@ -188,18 +225,22 @@ class OctreeMesh:
         starts = np.concatenate(([0], np.cumsum(reps)))[:-1]
         local = np.arange(len(parent)) - starts[parent]
 
-        anchors = self.anchors[parent].copy()
-        levels = self.levels[parent].copy()
-        active = self.active[parent].copy()
+        anchors = self.anchors[parent]
+        levels = self.levels[parent]
+        keys = self.keys[parent]
         is_child = mask[parent]
-        levels[is_child] += 1
-        child_size = (self.root_extent >> levels[is_child]).astype(np.int64)
-        anchors[is_child] += CHILD_OFFSETS[local[is_child]] * child_size[:, None]
+        kids = local[is_child]
+        kid_levels = levels[is_child] + 1
+        levels[is_child] = kid_levels
+        anchors[is_child] += CHILD_OFFSETS[kids] * (self.root_extent >> kid_levels)[:, None]
+        # the child's Morton digit at its own level; the parent key has zeros there
+        shift = np.uint64(3) * (self.max_level - kid_levels).astype(np.uint64)
+        keys[is_child] |= kids.astype(np.uint64) << shift
 
         self.anchors = anchors
         self.levels = levels
-        self.active = active
-        self.keys = morton_encode(anchors, self.max_level)
+        self.active = self.active[parent]
+        self.keys = keys
         self.version += 1
         if self._node_cache is not None:
             self._node_cache = self._grown(self._node_cache, parent, is_child)
@@ -220,8 +261,7 @@ class OctreeMesh:
             hi = np.minimum((hi >> 1) + 1, (1 << (lvl - 1)) - 1)
         changed = False
         for lvl, lo, hi in reversed(boxes):
-            axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
-            cells = np.stack(axes, axis=-1).reshape(-1, 3) << (self.max_level - lvl)
+            cells = (lo + _box_offsets(tuple((hi - lo + 1).tolist()))) << (self.max_level - lvl)
             holders = self._find_leaves(cells)
             mask = np.zeros(len(self.levels), dtype=bool)
             mask[holders[self.levels[holders] < lvl]] = True
@@ -259,7 +299,7 @@ class OctreeMesh:
         """
         leaves = []
         for v in printed:
-            t = (int(v[0]), int(v[1]), int(v[2]))
+            t = _cell(v)
             idx = self.find_leaf(t)
             if self.levels[idx] != self.max_level:
                 raise MeshError(
@@ -350,12 +390,14 @@ class OctreeMesh:
         return "".join(f"{k} {lvl} {x} {y} {z} {a}\n" for k, lvl, (x, y, z), a in rows)
 
     def validate(self) -> None:
-        """Exact structural invariants: alignment, sortedness, tiling, levels."""
+        """Exact structural invariants: alignment, keys, sortedness, tiling, levels."""
         sizes = self.leaf_sizes()
         if np.any(self.anchors % sizes[:, None] != 0):
             raise MeshError("anchor not aligned to its level lattice")
         if np.any((self.levels < 0) | (self.levels > self.max_level)):
             raise MeshError("leaf level out of range")
+        if not np.array_equal(self.keys, morton_encode(self.anchors, self.max_level)):
+            raise MeshError("leaf key is not the Morton code of its anchor")
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise MeshError("leaves not strictly Morton-sorted")
         spans = (np.uint64(1) << (np.uint64(3) * (self.max_level - self.levels).astype(np.uint64)))

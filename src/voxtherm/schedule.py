@@ -281,18 +281,29 @@ def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
     if not (0 < radius < math.inf and np.isfinite(ctr).all()):
         raise ScheduleError(f"sphere radius must be positive and finite and its centre finite, "
                             f"got r={radius} at {tuple(ctr.tolist())}")
+    exceeds = ScheduleError(
+        f"sphere r={radius} at {tuple(ctr.tolist())} exceeds grid {grid.dims}"
+    )
     cells: dict[int, dict[int, list[int]]] = {}
-    lo = np.floor(ctr - radius - 1).astype(int)
-    hi = np.ceil(ctr + radius + 1).astype(int)
+    dims = np.asarray(grid.dims, float)
+    if np.any((ctr < 0) | (ctr > dims)):
+        # the cell nearest the centre is outside the grid, and a sphere holds
+        # some cell only if it holds that one
+        d = np.floor(ctr) + 0.5 - ctr
+        if float(d @ d) < radius * radius:
+            raise exceeds
+        return cells
+    # The centre is in the grid, so a sphere cell past the grid's one-cell rim
+    # has a cell on the rim nearer the centre: scanning up to the rim decides.
+    lo = np.maximum(np.floor(ctr - radius - 1), -1).astype(int)
+    hi = np.minimum(np.ceil(ctr + radius + 1), dims + 1).astype(int)
     for k in range(lo[2], hi[2]):
         for j in range(lo[1], hi[1]):
             for i in range(lo[0], hi[0]):
                 d = np.array([i + 0.5, j + 0.5, k + 0.5]) - ctr
                 if float(d @ d) < radius * radius:
                     if not grid.in_bounds(VoxelId(i, j, k)):
-                        raise ScheduleError(
-                            f"sphere r={radius} at {tuple(ctr.tolist())} exceeds grid {grid.dims}"
-                        )
+                        raise exceeds
                     cells.setdefault(k, {}).setdefault(j, []).append(i)
     return cells
 

@@ -133,6 +133,16 @@ def test_sphere_outside_the_grid_names_plain_numbers(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+@pytest.mark.parametrize("radius", ["1e6", "1e20"])
+def test_gen_huge_sphere_exits_one(tmp_path, capsys, radius):
+    out = tmp_path / "s.sched"
+    assert main(["gen", "--shape", "sphere", "--grid", "4", "4", "4", "--radius", radius,
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"sphere r={float(radius)} at (2.0, 2.0, 2.0) exceeds grid (4, 4, 4)" in err
+    assert "Warning" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("geometry", [
     ["--radius", "nan"],
     ["--radius", "inf"],

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxtherm.octree import MeshError, OctreeMesh, merge, morton_encode
+from voxtherm.octree import MAX_LEVEL, MeshError, OctreeMesh, merge, morton_encode
 
 # --- oracles -----------------------------------------------------------------
 
@@ -184,6 +186,33 @@ def test_new_mesh_is_the_morton_sorted_base_lattice(max_level):
         mesh.validate()
 
 
+def test_split_keys_are_the_anchors_morton_codes_down_to_the_deepest_level():
+    """Children's keys come from their parent's; at every depth of the deepest
+    root they equal the Python-int Morton code of their anchors."""
+    rng = np.random.default_rng(24)
+    for _ in range(4):
+        mesh = OctreeMesh(max_level=MAX_LEVEL, base_level=0)
+        cell = tuple(int(c) for c in rng.integers(0, 1 << MAX_LEVEL, size=3))
+        for level in range(MAX_LEVEL):
+            split_leaf_at(mesh, cell)
+            want = [oracle_morton_key(a, MAX_LEVEL) for a in mesh.anchors]
+            assert mesh.keys.tolist() == want, level
+        assert mesh.levels[mesh.find_leaf(cell)] == MAX_LEVEL
+        mesh.validate()
+
+
+def test_validate_checks_every_key_against_its_anchor():
+    """Swapped anchors of two same-level leaves keep the keys sorted and tiling;
+    only the key check sees them."""
+    mesh = OctreeMesh(max_level=3, base_level=1)
+    mesh.refine_to_voxel((5, 2, 7))
+    mesh.validate()
+    pair = np.flatnonzero(mesh.levels == 1)[:2]
+    mesh.anchors[pair] = mesh.anchors[pair[::-1]]
+    with pytest.raises(MeshError, match="^leaf key is not the Morton code of its anchor$"):
+        mesh.validate()
+
+
 def test_refine_root_only_one_level():
     mesh = OctreeMesh(max_level=1, base_level=0)
     assert len(mesh) == 1
@@ -344,6 +373,58 @@ def test_classify_checks_every_voxel_before_it_marks_one():
         np.testing.assert_array_equal(mesh.active, before)
     empty = mesh.classify([])
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+NOT_CELLS = [
+    (1.5, 0, 0), (1.7, 0.2, 0.9), (True, 0, 0), (np.True_, 0, 0), ("a", 0, 0), (1, 0),
+    (1, 0, 0, 0), (float("nan"), 0, 0), (np.float64(1.0), 0, 0), np.array([1.0, 0.0, 0.0]),
+    np.int64(1), "abc", None, 7,
+]
+
+
+@pytest.mark.parametrize("cell", NOT_CELLS, ids=repr)
+def test_a_cell_that_is_not_3_integers_fails_before_any_split_or_mark(cell):
+    mesh = OctreeMesh(max_level=2, base_level=0)
+    mesh.refine_to_voxel((0, 0, 0))
+    before = mesh.dump()
+    calls = (mesh.find_leaf, mesh.refine_to_voxel, lambda c: mesh.classify([(0, 0, 0), c]))
+    for call in calls:
+        with pytest.raises(MeshError, match="is not 3 integers$") as err:
+            call(cell)
+        assert str(err.value).startswith("cell ") and "np." not in str(err.value)
+        assert mesh.dump() == before
+
+
+def test_numpy_integer_cells_pass():
+    mesh = OctreeMesh(max_level=2, base_level=0)
+    cells = (np.array([1, 0, 0]), (np.int32(1), np.uint8(0), np.int64(0)), [1, 0, 0])
+    assert [mesh.refine_to_voxel(c) for c in cells] == [True, False, False]
+    assert {mesh.find_leaf(c) for c in cells} == {mesh.find_leaf((1, 0, 0))}
+    mesh.classify([np.array([1, 0, 0])])
+    assert mesh.active.sum() == 1
+    with pytest.raises(MeshError, match=r"^cell \(4, 0, 0\) outside root cube$"):
+        mesh.find_leaf(np.array([4, 0, 0]))
+    with pytest.raises(MeshError, match="outside root cube"):
+        mesh.find_leaf((2**70, 0, 0))
+
+
+_scalar = st.one_of(st.integers(), st.integers(-2, 9), st.floats(), st.booleans(),
+                    st.text(max_size=2), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_scalar, max_size=4), st.tuples(_scalar, _scalar, _scalar), _scalar))
+def test_any_short_cell_finds_a_leaf_or_raises_mesh_error(cell):
+    """ROADMAP's boundary model for cells: a leaf, a bool, or a named MeshError
+    with no numpy repr; the mesh stays valid either way."""
+    mesh = OctreeMesh(max_level=3, base_level=1)
+    for call in (mesh.find_leaf, mesh.refine_to_voxel, lambda c: mesh.classify([c])):
+        try:
+            call(cell)
+        except MeshError as err:
+            assert str(err).startswith("cell ") or "printed voxel" in str(err)
+            assert "np." not in str(err)
+        mesh.validate()
 
 
 def test_split_refuses_active_and_bottom_leaves():

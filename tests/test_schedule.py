@@ -25,6 +25,7 @@ from voxtherm.schedule import (
     rasterize_segment,
     save_schedule,
 )
+from voxtherm.schedule import _sphere_cells
 
 
 # --- independent dense-sampling oracle --------------------------------------
@@ -418,6 +419,60 @@ def test_gen_shape_exceeding_grid_errors():
         gen_test_schedule("cuboid", grid, dims=(5, 2, 2))
     with pytest.raises(ScheduleError):
         gen_test_schedule("sphere", grid, radius=3.5)
+
+
+def loop_sphere_cells(grid, radius, ctr):
+    """The sphere's cells by a scan of its whole bounding box, as an oracle
+    for small spheres: each ``k``, then ``j``, then ``i`` ascending, or the
+    "exceeds grid" message at the first sphere cell outside the grid."""
+    cells = {}
+    exceeds = f"sphere r={radius} at {tuple(ctr.tolist())} exceeds grid {grid.dims}"
+    lo = np.floor(ctr - radius - 1).astype(int)
+    hi = np.ceil(ctr + radius + 1).astype(int)
+    for k in range(lo[2], hi[2]):
+        for j in range(lo[1], hi[1]):
+            for i in range(lo[0], hi[0]):
+                d = np.array([i + 0.5, j + 0.5, k + 0.5]) - ctr
+                if float(d @ d) < radius * radius:
+                    if not grid.in_bounds(VoxelId(i, j, k)):
+                        return exceeds
+                    cells.setdefault(k, {}).setdefault(j, []).append(i)
+    return cells
+
+
+def test_sphere_cells_equal_the_bounding_box_scan_on_random_small_spheres():
+    """Cells and their order, or the "exceeds grid" error, as the full scan
+    gives them; centres inside, on and outside the grid, quarter-cell ties included."""
+    rng = np.random.default_rng(2024)
+    for trial in range(600):
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+        grid = VoxelGrid(dims=dims)
+        ctr = rng.uniform(-3, np.array(dims) + 3)
+        radius = float(rng.uniform(0.05, 5))
+        if trial % 2:
+            ctr, radius = np.round(ctr * 4) / 4, float(max(np.round(radius * 4) / 4, 0.25))
+        want = loop_sphere_cells(grid, radius, ctr)
+        try:
+            got = _sphere_cells(grid, radius, tuple(ctr.tolist()))
+        except ScheduleError as err:
+            got = str(err)
+        assert got == want, (dims, ctr.tolist(), radius)
+
+
+@pytest.mark.parametrize("radius", [1e6, 1e20])
+@pytest.mark.parametrize("center", [None, (1e20, 2.0, 2.0), (-1e6, -1e6, 1e20)])
+def test_huge_spheres_exceed_the_grid_at_once(radius, center):
+    grid = VoxelGrid(dims=(4, 4, 4))
+    with pytest.raises(ScheduleError, match="exceeds grid"):
+        gen_test_schedule("sphere", grid, radius=radius, center=center)
+
+
+def test_a_sphere_far_outside_the_grid_that_holds_no_cell_has_no_cells():
+    grid = VoxelGrid(dims=(4, 4, 4))
+    assert _sphere_cells(grid, 0.3, (1e20, 1.0, 1.0)) == {}
+    assert _sphere_cells(grid, 0.3, (-10.0, 1.0, 1.0)) == {}
+    with pytest.raises(ScheduleError, match="exceeds grid"):
+        _sphere_cells(grid, 0.9, (-10.0, 1.0, 1.0))
 
 
 def test_raster_gcode_round_trips_cuboid():
