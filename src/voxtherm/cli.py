@@ -40,7 +40,6 @@ from .schedule import (
     gen_test_schedule,
     load_schedule,
     parse_schedule,
-    save_schedule,
 )
 
 __all__ = ["main", "CliError"]

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import configparser
 import math
+from typing import Literal, get_origin
 
+from ._checks import field_types
 from .driver import DriverError, SimConfig
-from .fem import BoundarySpec, FemError, MaterialParams
+from .fem import FemError
 
 __all__ = ["ConfigError", "parse_config", "load_config", "dump_config", "save_config"]
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
-
-
-def _to_int(raw: str) -> int:
-    return int(raw, 10)
 
 
 def _to_float(raw: str) -> float:
@@ -46,55 +44,36 @@ def _to_fractions(raw: str) -> tuple[float, ...]:
     return tuple(_to_float(t) for t in toks)
 
 
-def _to_str(raw: str) -> str:
-    return raw.strip()
+# section -> keys; a key names its field, except where _FIELD renames it
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "grid": ("base_level",),
+    "material": ("kappa", "rho", "cp", "latent_source"),
+    "boundary": ("t_bed", "t_deposit", "t_ambient"),
+    "schedule": ("steps_per_voxel", "dt", "deposit_mode", "cooldown_steps"),
+    "solver": ("tolerance", "lumped_mass"),
+    "output": ("snapshot_fractions", "snapshot_every", "label"),
+}
+_FIELD = {"tolerance": "solver_tol"}
 
+# SimConfig fields built from a whole section
+_NESTED = {"material": "material", "boundary": "bcs"}
 
-# section -> key -> (SimConfig construction target, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "grid": {
-        "base_level": ("base_level", _to_int),
-    },
-    "material": {
-        "kappa": ("kappa", _to_float),
-        "rho": ("rho", _to_float),
-        "cp": ("cp", _to_float),
-        "latent_source": ("latent_source", _to_float),
-    },
-    "boundary": {
-        "t_bed": ("t_bed", _to_float),
-        "t_deposit": ("t_deposit", _to_float),
-        "t_ambient": ("t_ambient", _to_float),
-    },
-    "schedule": {
-        "steps_per_voxel": ("steps_per_voxel", _to_int),
-        "dt": ("dt", _to_float),
-        "deposit_mode": ("deposit_mode", _to_str),
-        "cooldown_steps": ("cooldown_steps", _to_int),
-    },
-    "solver": {
-        "tolerance": ("solver_tol", _to_float),
-        "lumped_mass": ("lumped_mass", _to_bool),
-    },
-    "output": {
-        "snapshot_fractions": ("snapshot_fractions", _to_fractions),
-        "snapshot_every": ("snapshot_every", _to_int),
-        "label": ("label", _to_str),
-    },
+# field annotation -> (converter, formatter writing a value the converter reads back unchanged)
+_CODECS = {
+    int: (int, str),
+    float: (_to_float, repr),
+    bool: (_to_bool, lambda v: "true" if v else "false"),
+    str: (str, str),  # configparser strips values
+    tuple[float, ...]: (_to_fractions, lambda v: " ".join(repr(f) for f in v)),
 }
 
 
-# SimConfig fields built from a whole section, and the type each one has
-_NESTED = {"material": ("material", MaterialParams), "boundary": ("bcs", BoundarySpec)}
-
-# converter -> formatter writing a value the converter reads back unchanged
-_FORMATTERS = {
-    _to_int: str,
-    _to_float: repr,
-    _to_bool: lambda v: "true" if v else "false",
-    _to_fractions: lambda v: " ".join(repr(f) for f in v),
-    _to_str: str,
-}
+def _codec(section: str, key: str) -> tuple:
+    """(field name, converter, formatter) of a key; a Literal of strings is a str."""
+    name = _FIELD.get(key, key)
+    owner = field_types(SimConfig)[_NESTED[section]] if section in _NESTED else SimConfig
+    hint = field_types(owner)[name]
+    return (name, *_CODECS[str if get_origin(hint) is Literal else hint])
 
 
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
@@ -115,7 +94,7 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
-            target, conv = _SCHEMA[section][key]
+            target, conv, _ = _codec(section, key)
             try:
                 value = conv(raw)
             except ValueError as err:
@@ -124,9 +103,9 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
                 ) from err
             nested.get(section, values)[target] = value
     try:
-        for section, (name, cls) in _NESTED.items():
+        for section, name in _NESTED.items():
             if nested[section]:
-                values[name] = cls(**nested[section])
+                values[name] = field_types(SimConfig)[name](**nested[section])
         return SimConfig(**values)
     except (DriverError, FemError) as err:
         raise ConfigError(f"{source}: {err}") from err
@@ -140,10 +119,11 @@ def load_config(path) -> SimConfig:
 def dump_config(cfg: SimConfig) -> str:
     blocks = []
     for section, keys in _SCHEMA.items():
-        owner = getattr(cfg, _NESTED[section][0]) if section in _NESTED else cfg
+        owner = getattr(cfg, _NESTED[section]) if section in _NESTED else cfg
         lines = [f"[{section}]"]
-        for key, (target, conv) in keys.items():
-            lines.append(f"{key} = {_FORMATTERS[conv](getattr(owner, target))}")
+        for key in keys:
+            target, _, fmt = _codec(section, key)
+            lines.append(f"{key} = {fmt(getattr(owner, target))}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

@@ -11,13 +11,12 @@ The step operator is carried, so each deposit rebuilds only its rows.
 from __future__ import annotations
 
 import math
-import numbers
 import time as _time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Literal
 
 from . import fem
+from ._checks import check_fields, plain
 from .fem import BoundarySpec, MaterialParams, SolverError, ThermalState
 from .octree import MAX_LEVEL, OctreeMesh
 from .schedule import SparsityPolicy, VoxelSchedule, apply_sparsity
@@ -33,27 +32,8 @@ __all__ = [
     "response_mean",
 ]
 
-DEPOSIT_MODES = ("initial", "held")
-
-
 class DriverError(RuntimeError):
     """Simulation run aborted; the message names the offending voxel."""
-
-
-_FLAG = (bool, np.bool_)
-_COUNT, _NUMBER = ((int, np.integer), "an integer"), (numbers.Real, "a number")
-# field -> (accepted types, what a message calls them)
-_FIELD_TYPES = {
-    "steps_per_voxel": _COUNT, "cooldown_steps": _COUNT, "snapshot_every": _COUNT,
-    "base_level": _COUNT, "dt": _NUMBER, "solver_tol": _NUMBER,
-    "material": (MaterialParams, "a MaterialParams"), "bcs": (BoundarySpec, "a BoundarySpec"),
-    "lumped_mass": (_FLAG, "true or false"), "label": (str, "a string"),
-}
-
-
-def _is(value, kinds) -> bool:
-    """``isinstance(value, kinds)``, but a bool is no number: it passes only as a flag."""
-    return isinstance(value, kinds) and (kinds is _FLAG or not isinstance(value, bool))
 
 
 def _snapshot_tag(fraction: float) -> int:
@@ -72,20 +52,14 @@ class SimConfig:
     base_level: int = 2
     solver_tol: float = 1e-12
     lumped_mass: bool = True
-    deposit_mode: str = "initial"
+    deposit_mode: Literal["initial", "held"] = "initial"
     cooldown_steps: int = 0
     snapshot_fractions: tuple[float, ...] = (0.3, 0.6, 1.0)
     snapshot_every: int = 0
     label: str = "run"
 
     def __post_init__(self):
-        for name, (kinds, what) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not _is(value, kinds):
-                raise DriverError(f"{name} must be {what}, got {value!r}")
-        fractions = self.snapshot_fractions
-        if not (isinstance(fractions, tuple) and all(_is(f, numbers.Real) for f in fractions)):
-            raise DriverError(f"snapshot_fractions must be a tuple of numbers, got {fractions!r}")
+        check_fields(self, DriverError)
         if self.steps_per_voxel < 1:
             raise DriverError(f"steps_per_voxel must be >= 1, got {self.steps_per_voxel}")
         if not (0 < self.dt < math.inf):
@@ -96,18 +70,16 @@ class SimConfig:
             raise DriverError(
                 f"solver_tol must be positive and finite, got {self.solver_tol}"
             )
-        if self.deposit_mode not in DEPOSIT_MODES:
-            raise DriverError(
-                f"deposit_mode must be one of {DEPOSIT_MODES}, got {self.deposit_mode!r}"
-            )
         if self.cooldown_steps < 0:
             raise DriverError(f"cooldown_steps must be >= 0, got {self.cooldown_steps}")
         if self.snapshot_every < 0:
             raise DriverError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if not self.label.isprintable():
-            raise DriverError(f"label must be printable (no line break or tab): {self.label!r}")
+            raise DriverError(
+                f"label must be printable (no line break or tab): {plain(self.label)!r}"
+            )
         tags: dict[int, float] = {}
-        for f in fractions:
+        for f in self.snapshot_fractions:
             if not (0.0 < f <= 1.0):
                 raise DriverError(f"snapshot fraction {f} outside (0, 1]")
             tag = _snapshot_tag(f)

@@ -29,12 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import check_fields, is_integer, is_number, plain
 from .octree import CHILD_OFFSETS, OctreeMesh, merge
 
 if TYPE_CHECKING:
@@ -71,19 +71,10 @@ class SolverError(FemError):
         self.residuals = residuals
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _require_finite(params) -> None:
+    check_fields(params, FemError)
     for f in fields(params):
         value = getattr(params, f.name)
-        if not _is_number(value):
-            raise FemError(f"{f.name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise FemError(f"{f.name} must be finite, got {value}")
 
@@ -656,8 +647,8 @@ def assemble(
     in ``extra_dirichlet`` are sliced out of the carried free block. The
     result is bit-identical to a whole-mesh assembly.
     """
-    if not (_is_number(dt) and math.isfinite(dt)):
-        raise FemError(f"dt must be a finite number, got {dt!r}")
+    if not (is_number(dt) and math.isfinite(dt)):
+        raise FemError(f"dt must be a finite number, got {plain(dt)!r}")
     if dt <= 0:
         raise FemError(f"dt must be positive, got {dt}")
     act = np.flatnonzero(mesh.active)
@@ -678,8 +669,8 @@ def assemble(
             "the solve needs a conforming active mesh"
         )
     for li in latent_leaves:
-        if not _is_integer(li):
-            raise FemError(f"latent_leaves must hold leaf ids, got {li!r}")
+        if not is_integer(li):
+            raise FemError(f"latent_leaves must hold leaf ids, got {plain(li)!r}")
         li = int(li)
         if not 0 <= li < len(mesh):
             raise FemError(f"latent leaf {li} outside [0, {len(mesh)})")
@@ -688,10 +679,12 @@ def assemble(
 
     extra = {}
     for nid, value in (extra_dirichlet or {}).items():
-        if not _is_integer(nid):
-            raise FemError(f"extra_dirichlet keys must be node ids, got {nid!r}")
-        if not _is_number(value):
-            raise FemError(f"extra_dirichlet value for node {nid} must be a number, got {value!r}")
+        if not is_integer(nid):
+            raise FemError(f"extra_dirichlet keys must be node ids, got {plain(nid)!r}")
+        if not is_number(value):
+            raise FemError(
+                f"extra_dirichlet value for node {nid} must be a number, got {plain(value)!r}"
+            )
         nid, value = int(nid), float(value)
         if not 0 <= nid < m:
             raise FemError(f"extra_dirichlet node {nid} outside [0, {m})")
@@ -790,10 +783,10 @@ def solve(
     ``x0``, when given, is a full nodal vector; PCG starts from its free
     entries.
     """
-    if not (_is_number(tol) and 0 < tol < math.inf):
-        raise FemError(f"tol must be a positive finite number, got {tol!r}")
-    if max_iter is not None and not (_is_integer(max_iter) and max_iter >= 0):
-        raise FemError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    if not (is_number(tol) and 0 < tol < math.inf):
+        raise FemError(f"tol must be a positive finite number, got {plain(tol)!r}")
+    if max_iter is not None and not (is_integer(max_iter) and max_iter >= 0):
+        raise FemError(f"max_iter must be a non-negative integer, got {plain(max_iter)!r}")
     if x0 is not None and len(x0) != system.n:
         raise FemError(f"x0 has {len(x0)} values for a system on {system.n} nodes")
     x = system.prescribed.copy()

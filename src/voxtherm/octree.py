@@ -41,6 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import is_integer, plain
+
 __all__ = ["MeshError", "OctreeMesh", "MeshSnapshot", "morton_encode"]
 
 # Child anchor offsets, x fastest: local child index equals the Morton rank.
@@ -67,23 +69,14 @@ class MeshError(ValueError):
     """Octree structural or consistency failure."""
 
 
-def _plain(value):
-    """``value`` with numpy scalars and arrays as Python ones, for messages."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return tuple(_plain(v) for v in value)
-    return value
-
-
 def _cell(cell) -> tuple[int, int, int]:
     """``cell`` as 3 Python ints; a bool is not an integer, a numpy integer is."""
     try:
         x, y, z = cell
     except (TypeError, ValueError):
         x = y = z = None
-    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (x, y, z)):
-        raise MeshError(f"cell {_plain(cell)!r} is not 3 integers")
+    if not all(is_integer(c) for c in (x, y, z)):
+        raise MeshError(f"cell {plain(cell)!r} is not 3 integers")
     return int(x), int(y), int(z)
 
 
@@ -168,6 +161,9 @@ class OctreeMesh:
     """Mutable linearized octree; single writer, no coarsening."""
 
     def __init__(self, max_level: int, base_level: int = 2):
+        for name, level in (("max_level", max_level), ("base_level", base_level)):
+            if not is_integer(level):
+                raise MeshError(f"{name} must be an integer, got {plain(level)!r}")
         if max_level < 0 or max_level > MAX_LEVEL:
             raise MeshError(f"max_level must be in [0, {MAX_LEVEL}], got {max_level}")
         if not (0 <= base_level <= max_level):

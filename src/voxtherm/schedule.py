@@ -11,14 +11,14 @@ a voxel corner more briefly than the sampling step may skip it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from .gcode import Toolpath, ToolpathSegment, parse_gcode
+from ._checks import check_fields, holds, is_number, plain
+from .gcode import Toolpath, ToolpathSegment
 from .octree import MAX_LEVEL
 
 __all__ = [
@@ -54,19 +54,6 @@ class VoxelId(NamedTuple):
     k: int
 
 
-def _is_number(value) -> bool:
-    """A real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _holds(test) -> bool:
-    """``test()``, or False where it raises on a value of the wrong type or range."""
-    try:
-        return bool(test())
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 @dataclass(frozen=True)
 class VoxelGrid:
     """Axis-aligned grid of cubic voxels; one voxel edge is 1 non-dim unit."""
@@ -76,18 +63,19 @@ class VoxelGrid:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not _holds(lambda: len(self.dims) == 3
-                      and all(_is_number(d) and int(d) == d and d >= 1 for d in self.dims)):
-            raise ScheduleError(f"grid dims must be positive integers, got {self.dims}")
+        dims, size, origin = plain(self.dims), plain(self.voxel_size), plain(self.origin)
+        if not holds(lambda: len(self.dims) == 3
+                     and all(is_number(d) and int(d) == d and d >= 1 for d in self.dims)):
+            raise ScheduleError(f"grid dims must be positive integers, got {dims}")
         if any(int(d) > 1 << MAX_LEVEL for d in self.dims):  # the octree's limit
-            raise ScheduleError(f"grid dims must be at most {1 << MAX_LEVEL}, got {self.dims}")
-        if not _holds(lambda: _is_number(self.voxel_size) and math.isfinite(self.voxel_size)
-                      and self.voxel_size > 0):
-            raise ScheduleError(f"voxel_size must be positive and finite, got {self.voxel_size}")
-        if not _holds(lambda: len(self.origin) == 3):
-            raise ScheduleError(f"origin must have 3 components, got {self.origin}")
-        if not _holds(lambda: all(_is_number(o) and math.isfinite(o) for o in self.origin)):
-            raise ScheduleError(f"origin must be finite, got {self.origin}")
+            raise ScheduleError(f"grid dims must be at most {1 << MAX_LEVEL}, got {dims}")
+        if not holds(lambda: is_number(self.voxel_size) and math.isfinite(self.voxel_size)
+                     and self.voxel_size > 0):
+            raise ScheduleError(f"voxel_size must be positive and finite, got {size}")
+        if not holds(lambda: len(self.origin) == 3):
+            raise ScheduleError(f"origin must have 3 components, got {origin}")
+        if not holds(lambda: all(is_number(o) and math.isfinite(o) for o in self.origin)):
+            raise ScheduleError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         object.__setattr__(self, "voxel_size", float(self.voxel_size))
@@ -187,12 +175,7 @@ class SparsityPolicy:
     preserve_row_ends: bool = True
 
     def __post_init__(self):
-        for name in ("band_lo", "band_hi"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ScheduleError(f"{name} must be a number, got {value!r}")
-        if isinstance(self.skip, bool) or not isinstance(self.skip, (int, np.integer)):
-            raise ScheduleError(f"skip must be an integer, got {self.skip!r}")
+        check_fields(self, ScheduleError)
         if not (0.0 <= self.band_lo <= self.band_hi <= 1.0):
             raise ScheduleError(f"invalid band [{self.band_lo}, {self.band_hi}]")
         if self.skip < 0:
@@ -255,16 +238,18 @@ def _boustrophedon(cells: dict[int, dict[int, list[int]]]) -> list[VoxelId]:
 
 def _cuboid_cells(grid: VoxelGrid, dims, offset) -> dict:
     for name, value in (("dims", dims), ("offset", offset)):
-        if not _holds(lambda: len(value) == 3
-                      and all(_is_number(v) and int(v) == v for v in value)):
-            raise ScheduleError(f"cuboid {name} must be 3 integers, got {value!r}")
+        if not holds(lambda: len(value) == 3
+                     and all(is_number(v) and int(v) == v for v in value)):
+            raise ScheduleError(f"cuboid {name} must be 3 integers, got {plain(value)!r}")
     a, b, c = (int(d) for d in dims)
     ox, oy, oz = (int(o) for o in offset)
     if a < 1 or b < 1 or c < 1:
-        raise ScheduleError(f"cuboid dims must be positive, got {dims}")
+        raise ScheduleError(f"cuboid dims must be positive, got {plain(dims)}")
     hi = (ox + a, oy + b, oz + c)
     if ox < 0 or oy < 0 or oz < 0 or any(h > d for h, d in zip(hi, grid.dims)):
-        raise ScheduleError(f"cuboid {dims} at offset {offset} exceeds grid {grid.dims}")
+        raise ScheduleError(
+            f"cuboid {plain(dims)} at offset {plain(offset)} exceeds grid {grid.dims}"
+        )
     return {
         k: {j: list(range(ox, ox + a)) for j in range(oy, oy + b)}
         for k in range(oz, oz + c)
@@ -272,11 +257,11 @@ def _cuboid_cells(grid: VoxelGrid, dims, offset) -> dict:
 
 
 def _sphere_cells(grid: VoxelGrid, radius: float, center) -> dict:
-    if not _is_number(radius):
-        raise ScheduleError(f"sphere radius must be a number, got {radius!r}")
-    if center is not None and not _holds(lambda: len(center) == 3
-                                         and all(_is_number(c) for c in center)):
-        raise ScheduleError(f"sphere center must be 3 numbers, got {center!r}")
+    if not is_number(radius):
+        raise ScheduleError(f"sphere radius must be a number, got {plain(radius)!r}")
+    if center is not None and not holds(lambda: len(center) == 3
+                                        and all(is_number(c) for c in center)):
+        raise ScheduleError(f"sphere center must be 3 numbers, got {plain(center)!r}")
     ctr = np.asarray(grid.dims, float) / 2.0 if center is None else np.asarray(center, float)
     if not (0 < radius < math.inf and np.isfinite(ctr).all()):
         raise ScheduleError(f"sphere radius must be positive and finite and its centre finite, "
@@ -331,7 +316,7 @@ def gen_test_schedule(
         if radius is None:
             raise ScheduleError("sphere requires radius")
         return VoxelSchedule(grid, _boustrophedon(_sphere_cells(grid, radius, center)))
-    raise ScheduleError(f"unknown shape {shape!r}")
+    raise ScheduleError(f"unknown shape {plain(shape)!r}")
 
 
 def format_gcode(schedule: VoxelSchedule) -> str:

@@ -156,6 +156,26 @@ def test_base_level_construction():
     mesh.validate()
 
 
+def test_levels_must_be_integers():
+    """A fractional, bool or text level fails as a MeshError naming its
+    argument: 2.5 would build a depth-2 tree and True a depth-1 one."""
+    cases = [
+        ({"max_level": 2.5}, "max_level must be an integer, got 2.5"),
+        ({"max_level": True}, "max_level must be an integer, got True"),
+        ({"max_level": "3"}, "max_level must be an integer, got '3'"),
+        ({"max_level": np.float64(3.0)}, "max_level must be an integer, got 3.0"),
+        ({"max_level": 3, "base_level": 1.5}, "base_level must be an integer, got 1.5"),
+        ({"max_level": 3, "base_level": np.bool_(True)}, "base_level must be an integer, got True"),
+        ({"max_level": 20}, r"max_level must be in \[0, 19\], got 20"),
+        ({"max_level": 2, "base_level": 3}, r"base_level must be in \[0, max_level=2\], got 3"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(MeshError, match=rf"^{message}$"):
+            OctreeMesh(**kwargs)
+    mesh = OctreeMesh(max_level=np.int64(3), base_level=np.uint8(1))
+    assert (mesh.max_level, mesh.base_level, len(mesh)) == (3, 1, 8)
+
+
 def oracle_morton_key(anchor, max_level):
     """Morton key of one anchor by bit interleaving in Python ints, x lowest."""
     key = 0
@@ -409,7 +429,10 @@ def test_numpy_integer_cells_pass():
 
 
 _scalar = st.one_of(st.integers(), st.integers(-2, 9), st.floats(), st.booleans(),
-                    st.text(max_size=2), st.none())
+                    st.text(max_size=2), st.none(),
+                    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(-2, 9).map(np.int64),
+                    st.floats().map(np.float64), st.booleans().map(np.bool_),
+                    st.text(max_size=2).map(np.str_))
 
 
 @settings(max_examples=200, deadline=None)

@@ -261,6 +261,15 @@ def test_sparsity_policy_field_types_checked(kwargs, message):
     assert SparsityPolicy(skip=np.int64(2), band_lo=np.float64(0.25)).skip == 2
 
 
+def test_sparsity_policy_preserve_row_ends_is_a_flag():
+    """Any truthy text or number was once read as keeping row ends."""
+    for bad, shown in (("no", "'no'"), (1, "1"), (None, "None"), (np.str_("no"), "'no'")):
+        with pytest.raises(ScheduleError,
+                           match=rf"^preserve_row_ends must be true or false, got {shown}$"):
+            SparsityPolicy(preserve_row_ends=bad)
+    assert not SparsityPolicy(preserve_row_ends=np.bool_(False)).preserve_row_ends
+
+
 @pytest.mark.parametrize("shape,kwargs,message", [
     ("cuboid", {"dims": (2.5, 2, 2)}, "cuboid dims must be 3 integers, got (2.5, 2, 2)"),
     ("cuboid", {"dims": 2}, "cuboid dims must be 3 integers, got 2"),
@@ -294,14 +303,20 @@ def test_gen_test_schedule_argument_types_checked(shape, kwargs, message):
 
 
 # short values of every kind an argument might be given: small ints, floats
-# (nan and inf included), bools, text and None, alone or in tuples of any
-# short length. Magnitudes stay under 8, so no large solid is ever generated.
+# (nan and inf included), bools, text and None, as Python or numpy scalars,
+# alone or in tuples of any short length. Magnitudes stay under 8, so no
+# large solid is ever generated.
+_float = st.floats(-8, 8) | st.sampled_from([math.nan, math.inf, -math.inf])
 _scalar = st.one_of(
     st.integers(-3, 8),
-    st.floats(-8, 8) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    _float,
     st.booleans(),
     st.text(max_size=2),
     st.none(),
+    st.integers(-3, 8).map(np.int64),
+    _float.map(np.float64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=2).map(np.str_),
 )
 _argument = _scalar | st.tuples(_scalar, _scalar, _scalar) | st.lists(_scalar, max_size=4)
 

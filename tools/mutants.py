@@ -54,6 +54,39 @@ _STENCIL_TABLE = (
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
+        "flag kind accepts any truthy value",
+        "src/voxtherm/_checks.py",
+        'bool: (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),',
+        'bool: (lambda v: isinstance(v, (bool, np.bool_)) or bool(v), "true or false"),',
+        (
+            "tests/test_driver.py::test_config_field_types_checked",
+            "tests/test_schedule.py::test_sparsity_policy_preserve_row_ends_is_a_flag",
+        ),
+    ),
+    Mutant(
+        "is_integer admits bool",
+        "src/voxtherm/_checks.py",
+        "return isinstance(value, numbers.Integral) and not isinstance(value, bool)",
+        "return isinstance(value, numbers.Integral)",
+        (
+            "tests/test_driver.py::test_config_counts_must_be_integers",
+            "tests/test_octree.py::test_levels_must_be_integers",
+            "tests/test_fem.py::test_assemble_checks_latent_leaves_and_extra_dirichlet_types",
+        ),
+    ),
+    Mutant(
+        "plain returns its argument unchanged",
+        "src/voxtherm/_checks.py",
+        '    """``value`` with numpy scalars and arrays as Python ones, for messages."""\n',
+        '    """``value`` with numpy scalars and arrays as Python ones, for messages."""\n'
+        "    return value\n",
+        (
+            "tests/test_octree.py::test_a_cell_that_is_not_3_integers_fails_before_any_split_or_mark",
+            "tests/test_octree.py::test_levels_must_be_integers",
+            "tests/test_checks.py::test_any_field_values_construct_or_raise_the_modules_error",
+        ),
+    ),
+    Mutant(
         "child key shifted by 3 * level",
         "src/voxtherm/octree.py",
         "shift = np.uint64(3) * (self.max_level - kid_levels).astype(np.uint64)",
