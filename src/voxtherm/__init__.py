@@ -28,7 +28,6 @@ _EXPORTS = {
     "format_gcode": "schedule",
     "format_schedule": "schedule",
     "parse_schedule": "schedule",
-    "save_schedule": "schedule",
     "load_schedule": "schedule",
     "MeshError": "octree",
     "OctreeMesh": "octree",
@@ -38,7 +37,6 @@ _EXPORTS = {
     "MaterialParams": "fem",
     "BoundarySpec": "fem",
     "ThermalState": "fem",
-    "nondimensionalize": "fem",
     "DriverError": "driver",
     "SimConfig": "driver",
     "SimReport": "driver",

@@ -45,10 +45,8 @@ __all__ = [
     "SolverError",
     "MaterialParams",
     "BoundarySpec",
-    "Scaling",
     "ThermalState",
     "LinearSystem",
-    "nondimensionalize",
     "element_matrices",
     "lump",
     "initial_state",
@@ -111,64 +109,6 @@ class BoundarySpec:
 
     def __post_init__(self):
         _require_finite(self)
-
-
-@dataclass(frozen=True)
-class Scaling:
-    """Maps between dimensional and non-dimensional quantities."""
-
-    length: float
-    time: float
-    delta_t: float
-    t_ref: float = 0.0
-
-    def temperature_to_dimensionless(self, t):
-        return (np.asarray(t) - self.t_ref) / self.delta_t
-
-    def temperature_from_dimensionless(self, t):
-        return np.asarray(t) * self.delta_t + self.t_ref
-
-    def length_to_dimensionless(self, x):
-        return np.asarray(x) / self.length
-
-    def length_from_dimensionless(self, x):
-        return np.asarray(x) * self.length
-
-    def time_to_dimensionless(self, t):
-        return np.asarray(t) / self.time
-
-    def time_from_dimensionless(self, t):
-        return np.asarray(t) * self.time
-
-
-def nondimensionalize(
-    kappa: float,
-    rho: float,
-    cp: float,
-    length: float,
-    time: float,
-    delta_t: float,
-    t_ref: float = 0.0,
-) -> tuple[MaterialParams, Scaling]:
-    """Collapse dimensional properties into the single diffusion number.
-
-    The scaled equation is dT'/dt' = alpha lap(T') with
-    alpha = kappa * t_c / (rho * cp * L^2).
-    """
-    for name, v in [
-        ("kappa", kappa),
-        ("rho", rho),
-        ("cp", cp),
-        ("length", length),
-        ("time", time),
-        ("delta_t", delta_t),
-    ]:
-        if not (v > 0):
-            raise FemError(f"{name} must be positive, got {v}")
-    alpha = kappa * time / (rho * cp * length**2)
-    return MaterialParams(kappa=alpha, rho=1.0, cp=1.0), Scaling(
-        length=length, time=time, delta_t=delta_t, t_ref=t_ref
-    )
 
 
 # --- element kernels ---------------------------------------------------------

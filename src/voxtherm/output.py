@@ -1,10 +1,10 @@
 """Snapshot and report emitters: legacy ASCII VTK and CSV.
 
-The VTK writer emits one hexahedral cell per active leaf (all leaves with
-``include_inactive``), points compacted to the referenced nodes, nodal
-``temperature`` plus per-cell ``level`` and ``active`` fields. Output is
-byte-deterministic for identical inputs; wall-clock quantities appear only
-in the report's wall_ms column and time_s footer field.
+The VTK writer emits one hexahedral cell per active leaf, points compacted
+to the referenced nodes, nodal ``temperature`` plus per-cell ``level`` and
+``active`` fields. Output is byte-deterministic for identical inputs;
+wall-clock quantities appear only in the report's wall_ms column and time_s
+footer field.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def format_vtk(
-    mesh: OctreeMesh, state: ThermalState, *, include_inactive: bool = False
-) -> str:
+def format_vtk(mesh: OctreeMesh, state: ThermalState) -> str:
     if len(state.values) != len(mesh.node_coords):
         raise ValueError("state does not match mesh node table")
-    sel = (
-        np.arange(len(mesh)) if include_inactive else np.flatnonzero(mesh.active)
-    )
+    sel = np.flatnonzero(mesh.active)
     conn = mesh.leaf_nodes[sel]
     used = np.unique(conn) if len(sel) else np.empty(0, dtype=np.int64)
     remap = np.full(len(mesh.node_coords), -1, dtype=np.int64)
@@ -76,8 +72,8 @@ def format_vtk(
     return "\n".join(out) + "\n"
 
 
-def write_vtk(mesh, state, path, *, include_inactive: bool = False) -> None:
-    text = format_vtk(mesh, state, include_inactive=include_inactive)
+def write_vtk(mesh, state, path) -> None:
+    text = format_vtk(mesh, state)
     with open(path, "w") as f:
         f.write(text)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import check_fields, holds, is_number, plain
+from ._checks import check_fields, holds, is_integer, is_number, plain
 from .gcode import Toolpath, ToolpathSegment
 from .octree import MAX_LEVEL
 
@@ -35,7 +35,6 @@ __all__ = [
     "format_gcode",
     "format_schedule",
     "parse_schedule",
-    "save_schedule",
     "load_schedule",
 ]
 
@@ -116,6 +115,8 @@ class VoxelSchedule:
     def validate(self) -> None:
         seen = set()
         for v in self.order:
+            if not (isinstance(v, tuple) and len(v) == 3 and all(map(is_integer, v))):
+                raise ScheduleError(f"voxel {plain(v)!r} is not 3 integers")
             if v in seen:
                 raise ScheduleError(f"duplicate voxel {tuple(map(int, v))} in schedule")
             if not self.grid.in_bounds(v):
@@ -360,11 +361,6 @@ def format_schedule(schedule: VoxelSchedule) -> str:
     ]
     lines.extend(f"{v.i} {v.j} {v.k}" for v in schedule.order)
     return "\n".join(lines) + "\n"
-
-
-def save_schedule(schedule: VoxelSchedule, path) -> None:
-    with open(path, "w") as f:
-        f.write(format_schedule(schedule))
 
 
 def parse_schedule(text: str, source: str = "<schedule>") -> VoxelSchedule:

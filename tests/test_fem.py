@@ -23,7 +23,6 @@ from voxtherm.fem import (
     element_matrices,
     initial_state,
     lump,
-    nondimensionalize,
     solve,
     transfer_solution,
 )
@@ -161,39 +160,6 @@ def test_material_params_alpha_and_validation():
         MaterialParams(rho=True)
     with pytest.raises(FemError, match=r"^t_bed must be a number, got '1'$"):
         BoundarySpec(t_bed="1")
-
-
-def test_nondimensionalize_unit_inputs():
-    mat, scale = nondimensionalize(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    assert mat.kappa == pytest.approx(1.0)
-    assert mat.alpha == pytest.approx(1.0)
-    assert scale.length == 1.0
-
-
-def test_nondimensionalize_formula_and_round_trip():
-    mat, scale = nondimensionalize(
-        kappa=50.0, rho=2700.0, cp=900.0, length=0.1, time=10.0,
-        delta_t=180.0, t_ref=20.0,
-    )
-    assert mat.kappa == pytest.approx(50.0 * 10.0 / (2700.0 * 900.0 * 0.01))
-    rng = np.random.default_rng(3)
-    t = rng.uniform(-50, 400, size=17)
-    np.testing.assert_allclose(
-        scale.temperature_from_dimensionless(scale.temperature_to_dimensionless(t)),
-        t,
-        rtol=1e-14,
-    )
-    assert scale.length_from_dimensionless(scale.length_to_dimensionless(0.37)) == (
-        pytest.approx(0.37, rel=1e-15)
-    )
-    assert scale.time_to_dimensionless(25.0) == pytest.approx(2.5)
-
-
-def test_nondimensionalize_rejects_nonpositive():
-    with pytest.raises(FemError):
-        nondimensionalize(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(FemError):
-        nondimensionalize(1.0, 1.0, 1.0, 1.0, 1.0, -5.0)
 
 
 # --- assembly and solve --------------------------------------------------------

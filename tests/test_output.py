@@ -61,16 +61,6 @@ def test_zero_active_elements_is_valid(tmp_path):
     assert data["cells"].shape == (0, 8)
 
 
-def test_include_inactive_covers_all_leaves(tmp_path):
-    mesh, state = one_element_setup()
-    path = tmp_path / "full.vtk"
-    write_vtk(mesh, state, path, include_inactive=True)
-    data = read_vtk(path)
-    assert data["cells"].shape == (64, 8)
-    assert data["active"].sum() == 1
-    assert data["points"].shape == (125, 3)
-
-
 def test_point_temperatures_follow_state(tmp_path):
     mesh, state = one_element_setup()
     rng = np.random.default_rng(2)

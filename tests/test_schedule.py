@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxtherm._checks import is_integer
 from voxtherm.gcode import ToolpathSegment, parse_gcode
 from voxtherm.schedule import (
     OutOfBoundsError,
@@ -19,11 +20,11 @@ from voxtherm.schedule import (
     apply_sparsity,
     build_schedule,
     format_gcode,
+    format_schedule,
     gen_test_schedule,
     load_schedule,
     parse_schedule,
     rasterize_segment,
-    save_schedule,
 )
 from voxtherm.schedule import _sphere_cells
 
@@ -516,13 +517,13 @@ def test_schedule_file_round_trip_bit_exact(tmp_path):
     grid = VoxelGrid(dims=(5, 7, 3), voxel_size=0.1, origin=(-0.3, 1e-7, 2.5))
     sched = gen_test_schedule("cuboid", grid, dims=(5, 7, 3))
     p = tmp_path / "a.sched"
-    save_schedule(sched, p)
+    p.write_text(format_schedule(sched))
     back = load_schedule(p)
     assert back.grid == sched.grid
     assert back.order == sched.order
     # serialize again: byte-identical
     p2 = tmp_path / "b.sched"
-    save_schedule(back, p2)
+    p2.write_text(format_schedule(back))
     assert p.read_bytes() == p2.read_bytes()
 
 
@@ -568,6 +569,51 @@ def test_validate_names_voxels_as_plain_tuples():
         VoxelSchedule(grid, [v, v]).validate()
     with pytest.raises(ScheduleError, match=r"^voxel \(3, 0, 0\) outside grid \(2, 2, 2\)$"):
         VoxelSchedule(grid, [VoxelId(3, 0, 0)]).validate()
+
+
+@pytest.mark.parametrize("voxel,shown", [
+    ((1.5, 0, 0), "(1.5, 0, 0)"),
+    ((True, 0, 0), "(True, 0, 0)"),
+    ((1, 0), "(1, 0)"),
+    (("a", 0, 0), "('a', 0, 0)"),
+    (VoxelId(np.float64(1.0), 0, 0), "(1.0, 0, 0)"),
+    ([1, 0, 0], "[1, 0, 0]"),
+], ids=["fraction", "bool", "two", "text", "numpy-float", "list"])
+def test_validate_rejects_a_voxel_that_is_not_3_integers(voxel, shown):
+    """A bad voxel fails at the schedule, before the duplicate and bounds checks."""
+    with pytest.raises(ScheduleError) as err:
+        VoxelSchedule(VoxelGrid(dims=(2, 2, 2)), [voxel, voxel]).validate()
+    assert str(err.value) == f"voxel {shown} is not 3 integers"
+
+
+# short voxel entries: coordinates of every kind a library caller might pass,
+# three at a time, two or four at a time, as a VoxelId, or alone
+_coordinate = st.one_of(
+    st.integers(-1, 4), st.integers(-1, 4).map(np.int64), st.floats(), st.floats().map(np.float64),
+    st.booleans(), st.text(alphabet="0a ", max_size=2), st.none(),
+)
+_voxel = st.one_of(
+    st.tuples(_coordinate, _coordinate, _coordinate),
+    st.builds(VoxelId, _coordinate, _coordinate, _coordinate),
+    st.lists(_coordinate, min_size=2, max_size=4).map(tuple),
+    _coordinate,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_voxel, max_size=4))
+def test_any_short_voxel_list_validates_or_raises_schedule_error(order):
+    """Validation either passes a list of distinct in-grid 3-integer voxels, or
+    fails as a ScheduleError that holds no numpy or VoxelId repr; no other
+    exception escapes."""
+    grid = VoxelGrid(dims=(3, 3, 3))
+    try:
+        VoxelSchedule(grid, order).validate()
+    except ScheduleError as err:
+        assert "np." not in str(err) and "VoxelId(" not in str(err), str(err)
+    else:
+        assert all(len(v) == 3 and all(map(is_integer, v)) and grid.in_bounds(v) for v in order)
+        assert len(set(order)) == len(order)
 
 
 # a header (good, rejected, malformed or none), then voxel-line fragments, one

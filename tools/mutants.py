@@ -217,6 +217,48 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_fem.py::test_transfer_after_successive_refinements",
         ),
     ),
+    Mutant(
+        "schedule validation skips the integer check",
+        "src/voxtherm/schedule.py",
+        "if not (isinstance(v, tuple) and len(v) == 3 and all(map(is_integer, v))):",
+        "if False:",
+        ("tests/test_schedule.py::test_any_short_voxel_list_validates_or_raises_schedule_error",),
+    ),
+    Mutant(
+        "unread public function in schedule's __all__",
+        "src/voxtherm/schedule.py",
+        '    "load_schedule",\n]\n',
+        '    "load_schedule",\n    "unread_helper",\n]\n\n\ndef unread_helper():\n    return None\n',
+        ("tests/test_package.py::test_every_name_in_a_submodules_all_is_read",),
+    ),
+    Mutant(
+        "stiffness one percent high",
+        "src/voxtherm/fem.py",
+        "return mat.rho * mat.cp * M, mat.kappa * K",
+        "return mat.rho * mat.cp * M, 1.01 * mat.kappa * K",
+        ("tests/test_acceptance.py::test_criterion_4_transient_convergence",),
+    ),
+    Mutant(
+        "deposit activated above the deposit temperature",
+        "src/voxtherm/fem.py",
+        "state.values[mesh.leaf_nodes[leaf]] = bcs.t_deposit",
+        "state.values[mesh.leaf_nodes[leaf]] = bcs.t_deposit + 1e-6",
+        ("tests/test_acceptance.py::test_criterion_5_maximum_principle_regression",),
+    ),
+    Mutant(
+        "60 % snapshot skipped",
+        "src/voxtherm/driver.py",
+        '                _emit(sinks, f"{pct:03d}", mesh, state)',
+        '                if pct != 60:\n                    _emit(sinks, f"{pct:03d}", mesh, state)',
+        ("tests/test_acceptance.py::test_criterion_8_end_to_end_run",),
+    ),
+    Mutant(
+        "wall-clock time in the VTK header",
+        "src/voxtherm/output.py",
+        'f"voxtherm t={state.time!r}",',
+        'f"voxtherm t={state.time!r} wall={__import__(\'time\').time()!r}",',
+        ("tests/test_acceptance.py::test_criterion_9_determinism",),
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(".git", ".perfbench-out", ".pytest_cache", ".hypothesis",
